@@ -9,6 +9,7 @@ just before it).
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import gc
 import json
@@ -18,6 +19,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,28 +111,40 @@ SETUP_REPEATS = 3
 #: samples, and a traced run alternates untraced and traced units.
 MIN_UNITS = 2
 
-#: In-process work is reported at a nominal machine speed: each timed
-#: section (about a second of work) is scaled by REFERENCE_S over the
-#: duration of a fixed pure-Python reference loop timed right before and
-#: after it (throughputs by the inverse).  Shared machines drift by a
-#: quarter and more over minutes; the loop, which uses nothing from
-#: ``repro``, tracks that drift (correlation 0.81 with a compile, repair
-#: and optimize job on the 2-CPU host this was tuned on) when it brackets
-#: short sections.  Around a 15 s window it does not, and a server start
-#: runs in other processes, so serve latencies and set-up are reported as
-#: measured.  The record keeps the raw values too.
+#: Timed sections are reported at a nominal machine speed.  Each CPU of
+#: the shared 2-CPU host this was tuned on runs a fixed pure-Python loop in
+#: ~26 ms or ~55 ms, switching within seconds and drifting over minutes,
+#: and the two CPUs switch independently.  A section's seconds are
+#: multiplied by REFERENCE_S over a loop time (throughputs divided):
+#:
+#: * work in this process: the median of five loops run right before the
+#:   section, on the CPU it then runs on.  Never after it: work the
+#:   program left running past the section would slow that sample and so
+#:   cancel part of its own cost;
+#: * work in other processes (a parallel build, the server): the median of
+#:   the samples a probe process (``probe.py``) takes every PROBE_PERIOD_S
+#:   during the section, which see both CPUs.
+#:
+#: Loops are timed in their own CPU time, which leaves out waiting for a
+#: CPU, so the benchmark's load does not slow them: a section that does
+#: more work is not scaled back (a busy process on the other CPU moved the
+#: probe's median sample by 0.4%).  The record keeps the raw values.
 REFERENCE_S = 0.03
 REFERENCE_ITERATIONS = 120_000
+PROBE_PERIOD_S = 0.2
+#: A section shorter than this many probe periods takes the samples
+#: nearest its middle.
+PROBE_MIN_SAMPLES = 3
 
 
 def reference_loop() -> float:
-    """Seconds for the fixed reference work: dict updates, tuple and
-    string allocation, a sort.  The cyclic collector is off meanwhile, so
-    the size of the heap the run has built does not slow the loop."""
+    """CPU seconds of this thread for the fixed reference work: dict
+    updates, tuple and string allocation, a sort.  The cyclic collector is
+    off meanwhile, so the heap size does not slow the loop."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        started = time.perf_counter()
+        started = time.thread_time()
         table: dict = {}
         items = []
         for i in range(REFERENCE_ITERATIONS):
@@ -139,42 +153,92 @@ def reference_loop() -> float:
             if i % 8 == 0:
                 items.append((key, str(i)))
         items.sort()
-        return time.perf_counter() - started
+        return time.thread_time() - started
     finally:
         if enabled:
             gc.enable()
 
 
 class Speed:
-    """Reference-loop samples bracketing the timed sections of a run."""
-
-    #: A sample younger than this is reused as the next section's "before".
-    REUSE_S = 0.5
+    """Loop samples of a run.  The probe process is started by the first
+    section in other processes and stopped by :meth:`stop` (or at exit)."""
 
     def __init__(self) -> None:
+        #: medians of the loops run before sections in this process
+        self.loops: list = []
+        #: ``(time.monotonic() at the end of a probe loop, its seconds)``
         self.samples: list = []
-        self._last_at = -1e9
+        self._process: Optional[subprocess.Popen] = None
+        self._reader: Optional[threading.Thread] = None
+        self._arrived = threading.Condition()
 
     def sample(self) -> float:
-        now = time.perf_counter()
-        if now - self._last_at > self.REUSE_S or not self.samples:
-            self.samples.append(
-                statistics.fmean(reference_loop() for _ in range(3)))
-        self._last_at = time.perf_counter()
-        return self.samples[-1]
+        self.loops.append(statistics.median(reference_loop() for _ in range(5)))
+        return self.loops[-1]
+
+    def _start(self) -> None:
+        self._process = subprocess.Popen(
+            [sys.executable, str(Path(__file__).with_name("probe.py"))],
+            stdout=subprocess.PIPE, text=True,
+        )
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
+        atexit.register(self.stop)
+        # The probe's own start-up must not overlap the first section.
+        with self._arrived:
+            while not self.samples and self._process.poll() is None:
+                self._arrived.wait(timeout=1.0)
+
+    def _read(self) -> None:
+        for line in self._process.stdout:
+            ended, seconds = map(float, line.split())
+            with self._arrived:
+                self.samples.append((ended, seconds))
+                self._arrived.notify_all()
+        with self._arrived:
+            self._arrived.notify_all()
+
+    def stop(self) -> None:
+        if self._process is None:
+            return
+        self._process.kill()
+        self._process.wait()
+        self._reader.join()
+        self._process.stdout.close()
+        self._process = None
+
+    def during(self, started: float, ended: float) -> float:
+        """Median probe sample over ``[started, ended]`` (monotonic time),
+        once the probe has reported past ``ended``."""
+        with self._arrived:
+            while not self.samples or self.samples[-1][0] < ended:
+                if self._process is None or self._process.poll() is not None:
+                    raise BenchmarkError("the speed probe stopped")
+                self._arrived.wait(timeout=1.0)
+            middle = (started + ended) / 2
+            nearest = sorted(self.samples, key=lambda s: abs(s[0] - middle))
+            inside = [s for s in nearest if started <= s[0] <= ended]
+            chosen = inside if len(inside) >= PROBE_MIN_SAMPLES \
+                else nearest[:PROBE_MIN_SAMPLES]
+        return statistics.median(seconds for _, seconds in chosen)
 
     @contextlib.contextmanager
-    def timed(self):
+    def timed(self, elsewhere: bool = False):
         """Time the body.  The yielded span gets ``seconds`` (wall) and
-        ``factor``, the multiplier to nominal-speed seconds from reference
-        samples taken right before and right after the body."""
+        ``factor``, the multiplier to nominal-speed seconds.  ``elsewhere``
+        says the body's work runs in other processes."""
         span = Span()
-        before = self.sample()
-        started = time.perf_counter()
+        if not elsewhere:
+            loop = self.sample()
+        elif self._process is None:
+            self._start()
+        started = time.monotonic()
         yield span
-        span.seconds = time.perf_counter() - started
-        after = self.sample()
-        span.factor = REFERENCE_S / ((before + after) / 2)
+        ended = time.monotonic()
+        span.seconds = ended - started
+        if elsewhere:
+            loop = self.during(started, ended)
+        span.factor = REFERENCE_S / loop
 
 
 @dataclass
@@ -286,7 +350,7 @@ def geomean(values) -> float:
 def unit_loop(ctx: Context, minimum: int = MIN_UNITS):
     """Yield unit indices while another whole unit fits in the window
     (judged by the previous unit's duration), so every run measures whole
-    units of the same work.  The machine speed is sampled between units."""
+    units of the same work."""
     started = time.perf_counter()
     last = 0.0
     index = 0
@@ -298,10 +362,11 @@ def unit_loop(ctx: Context, minimum: int = MIN_UNITS):
 
 
 def repeat_setup(ctx: Context, outcome: "Outcome", setup) -> None:
-    """Time ``setup()`` SETUP_REPEATS times into ``setup_s``, each at
-    nominal speed."""
+    """Time ``setup()`` SETUP_REPEATS times into ``setup_s``.  Set-up runs
+    mostly in other processes (a fresh interpreter, build workers), so the
+    probe scales it."""
     for _ in range(SETUP_REPEATS):
-        with ctx.speed.timed() as span:
+        with ctx.speed.timed(elsewhere=True) as span:
             setup()
         outcome.add("setup_s", span.seconds, span.factor)
 
@@ -377,7 +442,8 @@ def result_line(ctx: Context, outcome: Outcome) -> tuple:
         stats = summary(values)
         metrics[name] = {"value": stats["median"], "unit": unit}
         spread[name] = stats
-    loops = ctx.speed.samples
+    loops = ctx.speed.loops
+    probe = [seconds for _, seconds in ctx.speed.samples]
     record = {
         "provenance": provenance(ctx, outcome),
         "metrics": spread,
@@ -392,7 +458,9 @@ def result_line(ctx: Context, outcome: Outcome) -> tuple:
         "speed": {
             "reference_s": REFERENCE_S,
             "loop_median_s": statistics.median(loops) if loops else None,
-            "samples": len(loops),
+            "loops": len(loops),
+            "probe_median_s": statistics.median(probe) if probe else None,
+            "probe_samples": len(probe),
         },
         "unexercised_layers": unexercised,
         "gate_failures": outcome.gate_failures,

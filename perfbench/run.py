@@ -30,9 +30,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="pipeline worker processes (default: "
-                             "min(2, nproc); more than nproc is refused)")
     parser.add_argument("--smoke", action="store_true",
                         help="smallest size of the workload (self-test)")
     return parser.parse_args(argv)
@@ -61,7 +58,7 @@ def main(argv=None) -> int:
         seconds=args.seconds,
         trace=bool(args.trace),
         smoke=args.smoke,
-        jobs=args.jobs if args.jobs is not None else min(2, nproc()),
+        jobs=min(2, nproc()),
         work=work,
     )
     try:
@@ -71,6 +68,7 @@ def main(argv=None) -> int:
         print(f"perfbench: {error}", file=sys.stderr)
         return 2
     finally:
+        ctx.speed.stop()
         shutil.rmtree(work, ignore_errors=True)
     print(json.dumps({"record": record}, sort_keys=True))
     print(json.dumps(result, sort_keys=True))

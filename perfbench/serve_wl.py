@@ -7,23 +7,24 @@ a fixed schedule, whatever the server does, from one asyncio thread: one
 socket submits, one long-poll per shard waits for completions (each shard
 has one worker, so a shard finishes its jobs in submission order).
 
-The mix is dealt in blocks of 20 slots (shuffled per block by the seed):
+The mix is dealt in blocks of 20 slots, in an order fixed per block:
 
-* 10 distinct jobs (cache misses) from four tenants: six small snippets
-  (repair / certify / run), one verify (``MIX``, or ``GATE`` every other
-  block), one suite-kernel job (``tea`` repair, ``aes`` repair or ``rc5``
-  certify in turn), one ``xtea`` certify and one ``tea`` certify that is
-  submitted twice back to back — the twin coalesces onto the in-flight
-  job;
+* 10 distinct jobs (cache misses) from four tenants: seven small snippets
+  (repair / certify / run), one verify (``MIX`` every fourth block,
+  ``GATE`` otherwise), one suite-kernel job (``tea`` repair, ``rc5``
+  certify, ``tea`` repair, ``xtea`` certify in turn) and one ``rc5``
+  certify that is submitted twice back to back — the twin coalesces onto
+  the in-flight job;
 * 9 exact repeats of jobs due at least two seconds earlier, served from
   the result cache.
 
 Every request is timed from its due time to the moment its result is in
 hand.  ``latency_ms`` / ``tail_ms`` are p50 / p99 over all submissions (a
 refused, failed or timed-out submission counts with the time it waited),
-``throughput_per_s`` is completed jobs over first due time to last
-completion, ``quality_ratio`` the geomean repaired/original size of the
-served repair results.
+at nominal machine speed (the window is one timed section, see
+``harness.Speed``); ``throughput_per_s`` is completed jobs over first due
+time to last completion, as measured; ``quality_ratio`` the geomean
+repaired/original size of the served repair results.
 """
 
 from __future__ import annotations
@@ -53,19 +54,30 @@ from harness import (
 
 SHARDS = 2
 WORKERS_PER_SHARD = 1
-#: Offered load, submissions per second: 3.5 blocks of ~0.15 worker-seconds
-#: keep each worker busy about a quarter of the time, so a machine slowed
-#: by a third still queues little, with room for the router, the shard
-#: event loops and this client on two CPUs.
+#: Offered load, submissions per second: 3.5 blocks of ~0.11 worker-seconds
+#: keep each worker busy about a fifth of the time.  The router, the shard
+#: event loops and this client take as much CPU again, and the host this
+#: was tuned on runs up to twice slower for minutes; a heavier mix (an
+#: ``xtea`` and a ``tea`` certify per block, ``MIX`` every other block)
+#: left 13-25% of the CPUs idle then, and p50 spread 0.4 over six seeds.
+#: ``tea`` repairs every other block put p99 inside their latencies rather
+#: than at the edge of a rarer ``aes`` repair's (p99 spread 0.20, not 0.27).
 RATE = 70.0
 SMOKE_SUBMISSIONS = 40
 #: Repeats only target jobs due at least this long before them.
 REPEAT_AGE_S = 2.0
 POLL_TIMEOUT_S = 20
-#: Pool workers are recycled after this many jobs.  The default (200)
-#: would respawn each worker once mid-window, a ~0.6 s stall whose exact
-#: timing decides the p99; pushed past one run, p99 measures steady state.
+#: Pool workers are recycled after this many jobs, past the ~260 each
+#: runs in a window.  Each respawn stalls its shard for 0.7-1.1 s on the
+#: 2-CPU host this was tuned on, and how long decides the p99: recycling
+#: every 50, 100 or 200 (the default) jobs gave a p99 spread of 0.22,
+#: 0.38 and 0.41 over five seeds.  Worker start-up, the code path a
+#: respawn runs, is timed in ``setup_s``.
 RECYCLE_AFTER_JOBS = 5000
+#: Seeds the order of kinds within each block.  It is fixed, so every
+#: seed offers the same pattern of heavy jobs, repeats and twins over
+#: time; ``--seed`` draws the inputs (tenants, arguments, repeat targets).
+PATTERN_SEED = 20
 #: A submission not complete this long after the window closes has failed.
 DRAIN_TIMEOUT_S = 30.0
 
@@ -142,13 +154,13 @@ def _distinct_specs(block: int, rng: random.Random) -> list:
                        name=f"{name}{block}",
                        tenant=f"t{rng.randrange(TENANTS)}", **options)
 
-    heavy = {0: ("repair", "tea"), 2: ("repair", "aes")}.get(
-        block % 4, ("certify", "rc5"))
-    if block % 2:
-        verify = spec("verify", GATE, "gatv", entry="gate", runs=4)
-    else:
+    heavy = [("repair", "tea"), ("certify", "rc5"), ("repair", "tea"),
+             ("certify", "xtea")][block % 4]
+    if block % 4 == 1:
         verify = spec("verify", MIX, "mix", entry="mix", runs=4,
                       array_size=8, seed=rng.getrandbits(16))
+    else:
+        verify = spec("verify", GATE, "gatv", entry="gate", runs=4)
     return [
         spec("repair", GATE, "gate"),
         spec("repair", GATE, "gatb"),
@@ -161,21 +173,23 @@ def _distinct_specs(block: int, rng: random.Random) -> list:
                    rng.randrange(4))),
         verify,
         spec(heavy[0], _kernel(heavy[1]), heavy[1]),
-        spec("certify", _kernel("xtea"), "xtea"),
-        spec("certify", _kernel("tea"), "twin"),
+        spec("run", GATE, "gatr", entry="gate",
+             args=(rng.getrandbits(16), rng.getrandbits(16))),
+        spec("certify", _kernel("rc5"), "twin"),
     ]
 
 
 def schedule(seed: int, submissions: int, rate: float, warm: list) -> list:
     """Due times and jobs for ``submissions`` slots at ``rate`` per second."""
     rng = random.Random(seed)
+    pattern = random.Random(PATTERN_SEED)
     slots: list = []
     history: list = [(-REPEAT_AGE_S, spec) for spec in warm]
     block = 0
     while len(slots) < submissions:
         distinct = _distinct_specs(block, rng)
         kinds = ["miss"] * 9 + ["pair"] + ["repeat"] * 9
-        rng.shuffle(kinds)
+        pattern.shuffle(kinds)
         misses = iter(distinct[:9])
         for kind in kinds:
             due = len(slots) / rate
@@ -469,19 +483,37 @@ async def _stats(port: int) -> dict:
     return totals
 
 
-async def _served_bytes(port: int, slots: list) -> tuple:
-    """Raw result bytes of every distinct job (first slot per job id), and
-    the GET round trips."""
-    served: dict = {}
+def _label(index: int, slot: Slot) -> str:
+    """What the gate calls a slot's answer: the job id of a queued job,
+    ``hit<slot index>`` for a result served inline from the cache."""
+    return f"hit{index}" if slot.cached else slot.job_id
+
+
+async def _served(port: int, slots: list) -> tuple:
+    """``(label, spec, served bytes)`` for every distinct queued job (its
+    raw result, fetched once) and every cache hit (its inline result in
+    canonical encoding), and the GET round trips."""
+    from repro.serve import canonical_result_bytes
+
+    served: list = []
+    fetched: set = set()
     trips = []
-    for slot in slots:
-        if slot.job_id is None or slot.job_id in served or slot.error:
+    for index, slot in enumerate(slots):
+        if slot.error:
             continue
+        if slot.cached:
+            served.append((_label(index, slot), slot.spec,
+                           canonical_result_bytes(slot.result)))
+            continue
+        if slot.job_id in fetched:
+            continue
+        fetched.add(slot.job_id)
         started = time.perf_counter()
         status, blob = await _request(port, "GET",
                                       f"/v1/jobs/{slot.job_id}/result")
         trips.append(time.perf_counter() - started)
-        served[slot.job_id] = blob if status == 200 else None
+        served.append((slot.job_id, slot.spec,
+                       blob if status == 200 else None))
     return served, trips
 
 
@@ -491,18 +523,22 @@ def _direct(spec) -> bytes:
     return canonical_result_bytes(execute_job(spec))
 
 
-def check_served(served: dict, specs: dict, jobs: int) -> list:
+def check_served(served: list, jobs: int) -> dict:
     """Served bytes must equal ``canonical_result_bytes(execute_job(spec))``
-    for every distinct job; ``served`` and ``specs`` are keyed by job id."""
-    ids = sorted(specs)
+    for every ``(label, spec, bytes)`` entry; the direct pipeline runs once
+    per distinct job key.  Returns ``{label: failure message}``."""
+    from repro.serve import job_key
+
+    specs = {job_key(spec): spec for _, spec, _ in served}
+    keys = sorted(specs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        direct = list(pool.map(_direct, [specs[i] for i in ids], chunksize=8))
-    failures = []
-    for job_id, blob in zip(ids, direct):
-        if served.get(job_id) != blob:
-            failures.append(f"{job_id} ({specs[job_id].name}): served bytes "
-                            "differ from the direct pipeline")
-    return failures
+        direct = dict(zip(keys, pool.map(
+            _direct, [specs[k] for k in keys], chunksize=8)))
+    return {
+        label: f"{label} ({spec.name}): served bytes differ from the "
+               "direct pipeline"
+        for label, spec, blob in served if blob != direct[job_key(spec)]
+    }
 
 
 def _span_layers(loop: OpenLoop) -> dict:
@@ -541,9 +577,9 @@ def run(ctx: Context) -> Outcome:
     for rep in range(SETUP_REPEATS):
         if server is not None:
             server.stop()
-        started = time.perf_counter()
-        server = start_server(ctx.work / f"serve-{rep}")
-        outcome.add("setup_s", time.perf_counter() - started)
+        with ctx.speed.timed(elsewhere=True) as span:
+            server = start_server(ctx.work / f"serve-{rep}")
+        outcome.add("setup_s", span.seconds, span.factor)
     try:
         submissions = SMOKE_SUBMISSIONS if ctx.smoke \
             else int(round(RATE * ctx.seconds))
@@ -553,46 +589,46 @@ def run(ctx: Context) -> Outcome:
                 slot.traced = True
         before = asyncio.run(_stats(server.port))
         loop = OpenLoop(server.port, slots)
-        asyncio.run(loop.run())
+        with ctx.speed.timed(elsewhere=True) as window:
+            asyncio.run(loop.run())
         after = asyncio.run(_stats(server.port))
-        served, trips = asyncio.run(_served_bytes(server.port, slots))
+        served, trips = asyncio.run(_served(server.port, slots))
     finally:
         server.stop()
 
-    specs = {}
-    for slot in slots:
-        if slot.job_id is not None and slot.job_id not in specs \
-                and not slot.error:
-            specs[slot.job_id] = slot.spec
-    for message in check_served(served, specs, ctx.jobs):
+    mismatched = check_served(served, ctx.jobs)
+    for message in mismatched.values():
         outcome.fail(message)
-    mismatched = {m.split(" ")[0] for m in outcome.gate_failures}
     window_end = max((s.done for s in slots if s.done is not None),
                      default=0.0)
 
     latencies, failed = [], 0
-    for slot in slots:
-        bad = slot.error is not None or slot.job_id in mismatched
+    for index, slot in enumerate(slots):
+        bad = slot.error is not None or _label(index, slot) in mismatched
         failed += bad
         end = slot.done if slot.done is not None else window_end
         latencies.append(max(end, slot.due) - slot.due)
     outcome.attempted = len(slots)
     outcome.failed = failed
     for value in latencies:
-        outcome.add("latency_ms", value * 1000.0)
+        outcome.add("latency_ms", value * 1000.0, window.factor)
     ordered = sorted(latencies)
-    outcome.add("tail_ms", ordered[int(0.99 * (len(ordered) - 1))] * 1000.0)
+    outcome.add("tail_ms", ordered[int(0.99 * (len(ordered) - 1))] * 1000.0,
+                window.factor)
     done = [s.done for s in slots if s.done is not None and not s.error]
     outcome.add("throughput_per_s", len(done) / (max(done) - slots[0].due))
-    ratios = [s.result["size_ratio"] for s in slots
-              if s.result and s.spec.kind == "repair"
-              and "size_ratio" in s.result]
-    outcome.add("quality_ratio", geomean(ratios))
+    # One ratio per repaired program (blocks differ only in a comment), so
+    # the ratio does not depend on how often the seed's window repeats it.
+    ratios = {s.spec.name.rstrip("0123456789"): s.result["size_ratio"]
+              for s in slots if s.result and s.spec.kind == "repair"
+              and "size_ratio" in s.result}
+    outcome.add("quality_ratio", geomean(ratios.values()))
     if ctx.trace:
         _trace_metrics(outcome, loop, slots, before, after, trips)
     outcome.record["rate_per_s"] = RATE
     outcome.record["submissions"] = len(slots)
-    outcome.record["distinct_jobs"] = len(specs)
+    outcome.record["distinct_jobs"] = len(trips)
+    outcome.record["gated_answers"] = len(served)
     outcome.record["classes"] = {
         "cached": sum(s.cached for s in slots),
         "coalesced": sum(s.coalesced for s in slots),

@@ -63,18 +63,30 @@ def test_smallest_run_emits_declared_metrics(workload, trace):
         assert all(m["value"] > 0 for m in result["metrics"].values())
 
 
-def test_refuses_more_workers_than_cpus():
-    from harness import nproc
+def test_speed_probe_scales_a_section_and_stops():
+    import time
 
-    done = subprocess.run(
-        [sys.executable, str(HERE / "run.py"), "--workload", "suite",
-         "--seed", "1", "--seconds", "1", "--smoke",
-         "--jobs", str(nproc() + 1)],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode != 0
-    assert "oversubscribed" in done.stderr
-    assert done.stdout.strip() == ""
+    from harness import Speed
+
+    speed = Speed()
+    with speed.timed(elsewhere=True) as span:
+        time.sleep(0.05)
+    process = speed._process
+    assert span.seconds >= 0.05 and span.factor > 0
+    assert speed.samples and speed.samples[-1][0] >= time.monotonic() - 5
+    speed.stop()
+    assert process.poll() is not None
+
+
+def test_refuses_more_workers_than_cpus(monkeypatch, tmp_path):
+    import harness
+    import serve_wl
+
+    monkeypatch.setattr(harness, "nproc", lambda: 1)
+    ctx = harness.Context(workload="serve", seed=1, seconds=1, trace=False,
+                          smoke=True, jobs=1, work=tmp_path)
+    with pytest.raises(harness.BenchmarkError, match="oversubscribed"):
+        serve_wl.run(ctx)
 
 
 # -- planted divergences --------------------------------------------------------
@@ -107,12 +119,33 @@ def test_serve_gate_rejects_a_flipped_byte():
 
     spec = JobSpec(kind="repair", source=serve_wl.GATE, name="gate")
     good = canonical_result_bytes(execute_job(spec))
-    assert serve_wl.check_served({"s0.j1": good}, {"s0.j1": spec}, 1) == []
+    assert serve_wl.check_served([("s0.j1", spec, good)], 1) == {}
     flipped = bytearray(good)
     flipped[len(flipped) // 2] ^= 0x01
-    failures = serve_wl.check_served({"s0.j1": bytes(flipped)},
-                                     {"s0.j1": spec}, 1)
-    assert len(failures) == 1
+    failures = serve_wl.check_served([("s0.j1", spec, bytes(flipped))], 1)
+    assert list(failures) == ["s0.j1"]
+
+
+def test_serve_gate_checks_cache_hits():
+    import asyncio
+
+    import serve_wl
+    from repro.serve import JobSpec, execute_job
+
+    gate = JobSpec(kind="repair", source=serve_wl.GATE, name="gate")
+    look = JobSpec(kind="certify", source=serve_wl.LOOKUP, name="look")
+    changed = execute_job(gate)
+    changed["size_ratio"] += 1
+    # Hits answered inline: the right entry, another key's entry, and the
+    # right entry with one value changed.
+    slots = []
+    for result in (execute_job(gate), execute_job(look), changed):
+        slot = serve_wl.Slot(0.0, gate, cached=True)
+        slot.result = json.loads(json.dumps(result))
+        slots.append(slot)
+    answers, trips = asyncio.run(serve_wl._served(0, slots))
+    assert trips == [] and len(answers) == 3
+    assert sorted(serve_wl.check_served(answers, 1)) == ["hit1", "hit2"]
 
 
 def test_verify_gates_reject_planted_divergences():

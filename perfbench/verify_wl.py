@@ -52,8 +52,7 @@ COVENANT_RUNS = 4
 DUDECT_MEASUREMENTS = 200
 GATE_LANES = 4
 #: Passes per run at least: the slowest program's check is one call of
-#: several seconds, too long for the speed reference to track, so the
-#: median of three carries its spread.
+#: several seconds, so a run's median needs three of them.
 PASSES = 3
 
 
