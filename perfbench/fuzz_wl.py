@@ -23,6 +23,8 @@ from harness import (
     Outcome,
     add_slowest,
     add_spans,
+    nominal,
+    rate_scale,
     repeat_setup,
     time_imports,
     unit_loop,
@@ -70,7 +72,7 @@ def run(ctx: Context) -> Outcome:
     samples = SMOKE_SAMPLES if ctx.smoke else SAMPLES
     random.Random(ctx.seed).shuffle(pool)
 
-    clock = LayerClock(ctx.work / "layers")
+    clock = LayerClock()
     reports: dict = {seed: [] for seed in pool}
     keys: dict = {}
     all_spans: list = []
@@ -89,7 +91,7 @@ def run(ctx: Context) -> Outcome:
         outcome.attempted += len(pool) * samples
         add_spans(outcome, "latency_ms", spans)
         add_slowest(outcome, "tail_ms", spans)
-        (traced if tracing else untraced).append(sum(s.nominal for s in spans))
+        (traced if tracing else untraced).append(spans)
         if tracing:
             values = clock.snapshot()
             values["unattributed_s"] = (sum(s.seconds for s in spans)
@@ -99,11 +101,12 @@ def run(ctx: Context) -> Outcome:
                 outcome.add(name, value)
     seconds = sum(s.seconds for s in all_spans)
     outcome.add("throughput_per_s", outcome.attempted / seconds,
-                seconds / sum(s.nominal for s in all_spans))
+                rate_scale(all_spans))
     outcome.add("quality_ratio",
                 len(pool) * samples / sum(keys.values()))
     if ctx.trace:
-        outcome.add("trace.overhead_frac", min(traced) / min(untraced) - 1.0)
+        outcome.add("trace.overhead_frac", min(map(nominal, traced))
+                    / min(map(nominal, untraced)) - 1.0)
 
     failures = check_reports(reports)
     for message in failures:

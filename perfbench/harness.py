@@ -16,6 +16,7 @@ import json
 import math
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -104,8 +105,13 @@ PER_LAYER = {
 #: seed can be re-checked on inputs it was not tuned on.
 RECHECK_SEED_OFFSET = 1_000_003
 
-#: How often set-up is repeated per run; ``setup_s`` is the median.
-SETUP_REPEATS = 3
+#: How often set-up is repeated per run; ``setup_s`` is the median.  The
+#: first set-up in a process fills its caches and takes up to twice as
+#: long as the rest, so the median of three is the slower of two samples.
+#: Workloads whose set-up takes seconds (verify, serve) repeat it
+#: SETUP_REPEATS_COSTLY times.
+SETUP_REPEATS = 5
+SETUP_REPEATS_COSTLY = 3
 
 #: Units of work per run at least, even past the window: medians need two
 #: samples, and a traced run alternates untraced and traced units.
@@ -117,13 +123,21 @@ MIN_UNITS = 2
 #: and the two CPUs switch independently.  A section's seconds are
 #: multiplied by REFERENCE_S over a loop time (throughputs divided):
 #:
-#: * work in this process: the median of five loops run right before the
-#:   section, on the CPU it then runs on.  Never after it: work the
-#:   program left running past the section would slow that sample and so
-#:   cancel part of its own cost;
-#: * work in other processes (a parallel build, the server): the median of
-#:   the samples a probe process (``probe.py``) takes every PROBE_PERIOD_S
-#:   during the section, which see both CPUs.
+#: * work in this process: one loop right before each section and one every
+#:   SAMPLE_PERIOD_S while it runs, from a SIGALRM handler in the section's
+#:   own thread, so on the CPU and in the state the section sees (the
+#:   handler's time is taken out of the section's).  Every such section of
+#:   a run takes one factor, REFERENCE_S times the mean of 1/loop over all
+#:   of the run's loops: its average speed.  The loop's time swings more
+#:   than the work's, so a factor from the few loops of one section added
+#:   more noise than it took out.  No loop runs after a section: work the
+#:   program left running past it would slow that loop and so cancel part
+#:   of its own cost;
+#: * work in other processes (set-ups, the server): the mean of
+#:   1/loop over the samples a probe process (``probe.py``) takes every
+#:   PROBE_PERIOD_S during the section, which see both CPUs.  A median
+#:   flips between the fast and the slow state where a mean follows the
+#:   share of time spent in each.
 #:
 #: Loops are timed in their own CPU time, which leaves out waiting for a
 #: CPU, so the benchmark's load does not slow them: a section that does
@@ -132,6 +146,7 @@ MIN_UNITS = 2
 REFERENCE_S = 0.03
 REFERENCE_ITERATIONS = 120_000
 PROBE_PERIOD_S = 0.2
+SAMPLE_PERIOD_S = 0.5
 #: A section shorter than this many probe periods takes the samples
 #: nearest its middle.
 PROBE_MIN_SAMPLES = 3
@@ -164,17 +179,25 @@ class Speed:
     section in other processes and stopped by :meth:`stop` (or at exit)."""
 
     def __init__(self) -> None:
-        #: medians of the loops run before sections in this process
+        #: loops run before and during the sections in this process
         self.loops: list = []
         #: ``(time.monotonic() at the end of a probe loop, its seconds)``
         self.samples: list = []
         self._process: Optional[subprocess.Popen] = None
         self._reader: Optional[threading.Thread] = None
         self._arrived = threading.Condition()
+        #: ``(time.monotonic() at its start, wall seconds, loop seconds)``
+        #: of each loop the alarm ran during the current section
+        self._alarms: list = []
 
-    def sample(self) -> float:
-        self.loops.append(statistics.median(reference_loop() for _ in range(5)))
-        return self.loops[-1]
+    def factor(self) -> float:
+        """The factor of the run's sections in this process so far."""
+        return REFERENCE_S * statistics.mean(1.0 / s for s in self.loops)
+
+    def _on_alarm(self, signum, frame) -> None:
+        started = time.monotonic()
+        loop = reference_loop()
+        self._alarms.append((started, time.monotonic() - started, loop))
 
     def _start(self) -> None:
         self._process = subprocess.Popen(
@@ -208,8 +231,9 @@ class Speed:
         self._process = None
 
     def during(self, started: float, ended: float) -> float:
-        """Median probe sample over ``[started, ended]`` (monotonic time),
-        once the probe has reported past ``ended``."""
+        """The loop time of the probe's average speed over ``[started,
+        ended]`` (monotonic time), once the probe has reported past
+        ``ended``."""
         with self._arrived:
             while not self.samples or self.samples[-1][0] < ended:
                 if self._process is None or self._process.poll() is not None:
@@ -220,31 +244,54 @@ class Speed:
             inside = [s for s in nearest if started <= s[0] <= ended]
             chosen = inside if len(inside) >= PROBE_MIN_SAMPLES \
                 else nearest[:PROBE_MIN_SAMPLES]
-        return statistics.median(seconds for _, seconds in chosen)
+        return 1.0 / statistics.mean(1.0 / seconds for _, seconds in chosen)
 
     @contextlib.contextmanager
     def timed(self, elsewhere: bool = False):
-        """Time the body.  The yielded span gets ``seconds`` (wall) and
-        ``factor``, the multiplier to nominal-speed seconds.  ``elsewhere``
-        says the body's work runs in other processes."""
-        span = Span()
-        if not elsewhere:
-            loop = self.sample()
-        elif self._process is None:
-            self._start()
-        started = time.monotonic()
-        yield span
-        ended = time.monotonic()
-        span.seconds = ended - started
+        """Time the body.  The yielded span gets ``seconds`` (wall, less
+        the alarm loops) and a ``factor`` to nominal-speed seconds.
+        ``elsewhere`` says the body's work runs in other processes;
+        otherwise it must run in the main thread, and its factor is the
+        run's, final once the run's last section has ended."""
         if elsewhere:
-            loop = self.during(started, ended)
-        span.factor = REFERENCE_S / loop
+            span = Span()
+            if self._process is None:
+                self._start()
+            started = time.monotonic()
+            yield span
+            ended = time.monotonic()
+            span.seconds = ended - started
+            span.fixed = REFERENCE_S / self.during(started, ended)
+            return
+        span = Span(speed=self)
+        self.loops.append(reference_loop())
+        self._alarms = []
+        previous = signal.signal(signal.SIGALRM, self._on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_PERIOD_S, SAMPLE_PERIOD_S)
+        try:
+            started = time.monotonic()
+            yield span
+            ended = time.monotonic()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0, 0)
+            signal.signal(signal.SIGALRM, previous)
+        inside = [a for a in self._alarms if started <= a[0] < ended]
+        self.loops += [loop for _, _, loop in inside]
+        span.seconds = ended - started - sum(paused for _, paused, _ in inside)
 
 
 @dataclass
 class Span:
     seconds: float = 0.0
-    factor: float = 1.0
+    #: the factor of work in other processes
+    fixed: float = 1.0
+    #: set for work in this process, which takes the run's factor
+    speed: Optional[Speed] = None
+
+    @property
+    def factor(self) -> float:
+        """The multiplier to nominal-speed seconds."""
+        return self.fixed if self.speed is None else self.speed.factor()
 
     @property
     def nominal(self) -> float:
@@ -252,17 +299,33 @@ class Span:
         return self.seconds * self.factor
 
 
+def nominal(spans: list) -> float:
+    return sum(s.nominal for s in spans)
+
+
+def time_scale(spans: list):
+    """:meth:`Outcome.add` scale of a time measured as ``spans``."""
+    seconds = sum(s.seconds for s in spans)
+    return lambda: nominal(spans) / seconds
+
+
+def rate_scale(spans: list):
+    """:meth:`Outcome.add` scale of a rate over ``spans``."""
+    seconds = sum(s.seconds for s in spans)
+    return lambda: seconds / nominal(spans)
+
+
 def add_spans(outcome: "Outcome", metric: str, spans: list) -> None:
     """Record the summed duration of ``spans`` in milliseconds."""
-    seconds = sum(s.seconds for s in spans)
-    outcome.add(metric, seconds * 1000.0,
-                sum(s.nominal for s in spans) / seconds)
+    outcome.add(metric, sum(s.seconds for s in spans) * 1000.0,
+                time_scale(spans))
 
 
 def add_slowest(outcome: "Outcome", metric: str, spans: list) -> None:
-    """Record the slowest of ``spans`` at nominal speed, in milliseconds."""
-    slowest = max(spans, key=lambda s: s.nominal)
-    outcome.add(metric, slowest.seconds * 1000.0, slowest.factor)
+    """Record the slowest of ``spans``, sections of this process (which
+    share one factor), in milliseconds."""
+    slowest = max(spans, key=lambda s: s.seconds)
+    outcome.add(metric, slowest.seconds * 1000.0, time_scale([slowest]))
 
 
 class BenchmarkError(RuntimeError):
@@ -287,10 +350,8 @@ class Context:
 class Outcome:
     """What one workload run measured and checked."""
 
-    #: metric name -> per-sample values; the result line carries medians.
-    samples: dict = field(default_factory=dict)
-    #: The same samples before speed normalization, for the record.
-    raw: dict = field(default_factory=dict)
+    #: metric name -> ``(value as measured, scale)`` per sample
+    values: dict = field(default_factory=dict)
     attempted: int = 0
     failed: int = 0
     #: One line per failed correctness check.
@@ -300,11 +361,27 @@ class Outcome:
     #: Workers the workload actually used (processes doing pipeline work).
     workers: int = 1
 
-    def add(self, metric: str, value: float, scale: float = 1.0) -> None:
+    def add(self, metric: str, value: float, scale=1.0) -> None:
         """Record ``value`` as measured; the metric gets ``value * scale``
-        (a :class:`Span` factor for times, its inverse for rates)."""
-        self.samples.setdefault(metric, []).append(float(value) * scale)
-        self.raw.setdefault(metric, []).append(float(value))
+        (a :class:`Span` factor for times, its inverse for rates).  A
+        callable scale is called when the run ends (see
+        :func:`time_scale`)."""
+        self.values.setdefault(metric, []).append((float(value), scale))
+
+    @property
+    def samples(self) -> dict:
+        """metric name -> per-sample values at nominal speed; the result
+        line carries their medians."""
+        return {
+            metric: [v * (s() if callable(s) else s) for v, s in pairs]
+            for metric, pairs in self.values.items()
+        }
+
+    @property
+    def raw(self) -> dict:
+        """The samples before speed normalization, for the record."""
+        return {metric: [v for v, _ in pairs]
+                for metric, pairs in self.values.items()}
 
     def fail(self, message: str) -> None:
         self.gate_failures.append(message)
@@ -361,11 +438,12 @@ def unit_loop(ctx: Context, minimum: int = MIN_UNITS):
         index += 1
 
 
-def repeat_setup(ctx: Context, outcome: "Outcome", setup) -> None:
-    """Time ``setup()`` SETUP_REPEATS times into ``setup_s``.  Set-up runs
+def repeat_setup(ctx: Context, outcome: "Outcome", setup,
+                 repeats: int = SETUP_REPEATS) -> None:
+    """Time ``setup()`` ``repeats`` times into ``setup_s``.  Set-up runs
     mostly in other processes (a fresh interpreter, build workers), so the
     probe scales it."""
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         with ctx.speed.timed(elsewhere=True) as span:
             setup()
         outcome.add("setup_s", span.seconds, span.factor)
@@ -425,7 +503,8 @@ def provenance(ctx: Context, outcome: Outcome) -> dict:
 
 def result_line(ctx: Context, outcome: Outcome) -> tuple:
     """(record dict, result dict) for the two final stdout lines."""
-    undeclared = set(outcome.samples) - set(END_TO_END) - set(PER_LAYER)
+    samples = outcome.samples
+    undeclared = set(samples) - set(END_TO_END) - set(PER_LAYER)
     if undeclared:
         raise BenchmarkError(f"undeclared metrics {sorted(undeclared)}")
     table = PER_LAYER if ctx.trace else END_TO_END
@@ -433,7 +512,7 @@ def result_line(ctx: Context, outcome: Outcome) -> tuple:
     spread = {}
     unexercised = []
     for name, unit in table.items():
-        values = outcome.samples.get(name)
+        values = samples.get(name)
         if not values:
             if not ctx.trace:
                 raise BenchmarkError(f"workload produced no {name} sample")
@@ -452,11 +531,12 @@ def result_line(ctx: Context, outcome: Outcome) -> tuple:
             for name, values in outcome.raw.items() if name in table
         },
         "unit_samples": {
-            name: values for name, values in outcome.samples.items()
+            name: values for name, values in samples.items()
             if name in END_TO_END and len(values) <= 20
         },
         "speed": {
             "reference_s": REFERENCE_S,
+            "in_process_factor": ctx.speed.factor() if loops else None,
             "loop_median_s": statistics.median(loops) if loops else None,
             "loops": len(loops),
             "probe_median_s": statistics.median(probe) if probe else None,

@@ -9,12 +9,8 @@ the unmodified program.
 
 Function hooks patch every module-level binding of the function across
 loaded ``repro`` modules (``from x import f`` copies the reference), so a
-call is timed whichever module it goes through.
-
-The suite's cold build fans out over forked ``build_many`` workers.  The
-forked children inherit the wrappers; :func:`_traced_build_worker`, put in
-place of ``repro.artifacts.parallel._worker``, writes each child's layer
-times to a file the parent folds in after the build.
+call is timed whichever module it goes through.  Every traced section
+runs in the benchmark's own process.
 """
 
 from __future__ import annotations
@@ -22,14 +18,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import importlib
-import json
-import os
 import sys
 import time
-import uuid
 from collections import defaultdict
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 #: (module, attribute, layer).  ``Class.method`` attributes patch the
 #: class; plain attributes patch every binding of the function object.
@@ -72,17 +64,10 @@ HOOKS = (
     ("repro.fuzz.minimize", "minimize_spec", "fuzz.minimize"),
 )
 
-#: The clock whose wrappers are installed, for the forked build workers
-#: (pickling sends the worker function by name, so it cannot close over
-#: the clock).
-_ACTIVE: "Optional[LayerClock]" = None
-
-
 class LayerClock:
     """Self seconds per layer, plus batch lane counts."""
 
-    def __init__(self, spool: Path) -> None:
-        self.spool = spool
+    def __init__(self) -> None:
         self.seconds: dict = defaultdict(float)
         self.lanes = 0
         self.unique_lanes = 0
@@ -140,7 +125,6 @@ class LayerClock:
     # -- installation --------------------------------------------------------
 
     def install(self) -> None:
-        global _ACTIVE
         for module_name, attr, layer in HOOKS:
             module = importlib.import_module(module_name)
             if layer == "verify.cache":
@@ -163,10 +147,6 @@ class LayerClock:
                     for key, value in list(vars(loaded).items()):
                         if value is original:
                             self._patch(loaded, key, wrapped)
-        parallel = importlib.import_module("repro.artifacts.parallel")
-        self._build_worker = parallel._worker
-        self._patch(parallel, "_worker", _traced_build_worker)
-        _ACTIVE = self
 
     @contextlib.contextmanager
     def tracing(self, active: bool):
@@ -186,38 +166,15 @@ class LayerClock:
         setattr(owner, attr, value)
 
     def restore(self) -> None:
-        global _ACTIVE
         for owner, attr, original in reversed(self._patches):
             setattr(owner, attr, original)
         self._patches.clear()
-        _ACTIVE = None
 
     # -- aggregation ---------------------------------------------------------
 
     def reset(self) -> None:
         self.seconds.clear()
         self.lanes = self.unique_lanes = 0
-
-    def dump(self) -> None:
-        """Write this (worker) process's totals for the parent to absorb."""
-        self.spool.mkdir(parents=True, exist_ok=True)
-        path = self.spool / f"{os.getpid()}-{uuid.uuid4().hex}.json"
-        path.write_text(json.dumps({
-            "seconds": dict(self.seconds),
-            "lanes": self.lanes, "unique_lanes": self.unique_lanes,
-        }))
-
-    def absorb_spool(self) -> None:
-        """Fold in, and delete, every worker file."""
-        if not self.spool.is_dir():
-            return
-        for path in sorted(self.spool.glob("*.json")):
-            data = json.loads(path.read_text())
-            for layer, seconds in data["seconds"].items():
-                self.seconds[layer] += seconds
-            self.lanes += data["lanes"]
-            self.unique_lanes += data["unique_lanes"]
-            path.unlink()
 
     def snapshot(self) -> dict:
         """Per-layer self seconds under the benchmark's metric names."""
@@ -228,14 +185,3 @@ class LayerClock:
 
     def attributed_s(self) -> float:
         return sum(self.seconds.values())
-
-
-def _traced_build_worker(request, cache_root):
-    """Stand-in for ``repro.artifacts.parallel._worker`` in a traced build:
-    time the task with the inherited wrappers, then spool the totals."""
-    clock = _ACTIVE
-    clock.reset()
-    try:
-        return clock._build_worker(request, cache_root)
-    finally:
-        clock.dump()

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 from harness import (
-    SETUP_REPEATS,
+    SETUP_REPEATS_COSTLY,
     SRC,
     Context,
     Outcome,
@@ -574,7 +574,7 @@ def run(ctx: Context) -> Outcome:
     check_workers(ctx.jobs, "the direct-pipeline gate")
     outcome = Outcome(workers=SHARDS * WORKERS_PER_SHARD)
     server = None
-    for rep in range(SETUP_REPEATS):
+    for rep in range(SETUP_REPEATS_COSTLY):
         if server is not None:
             server.stop()
         with ctx.speed.timed(elsewhere=True) as span:

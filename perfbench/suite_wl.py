@@ -2,16 +2,21 @@
 
 One unit of work builds every program (all variants, SCE baseline and its
 output check, O1, certification) into a fresh artifact store through
-one ``build_many`` call (``jobs=min(2, nproc)``), then reloads the
-store and materialises every variant with ``parse_variant``.  The same
-store is written cold and read warm.
+one serial ``build_many`` call (``jobs=1``, so in this process), then
+reloads the store and materialises every variant with ``parse_variant``.
+The same store is written cold and read warm.
 
-Metrics: ``latency_ms`` is the median cold build, ``tail_ms`` the p90 of
-the programs' build times (their stage timings in the build records),
-pooled over the run's units,
-``throughput_per_s`` is variants materialised per second by the warm
-reload, ``quality_ratio`` is the geomean of ``repaired_o1`` over
-``original_o1`` instruction counts (code size, Fig. 15).
+The build is serial because only work in this process is scaled by loops
+run on its own CPU: with two build workers, each program's time follows
+the state of the CPU it ran on, which the probe cannot see, and the
+programs' build times spread by a quarter between runs.
+
+Metrics: ``latency_ms`` is the median cold build, ``tail_ms`` the median
+over units of the mean build time of the slowest quarter of the programs
+(their stage timings in the build records), ``throughput_per_s`` is
+variants materialised per second by the warm reload, ``quality_ratio`` is
+the geomean of ``repaired_o1`` over ``original_o1`` instruction counts
+(code size, Fig. 15).
 
 The programs are the paper's suite, fixed; the seed picks the inputs of the
 interpreter agreement gate and the order of the warm reload.
@@ -27,18 +32,23 @@ from harness import (
     Context,
     Outcome,
     add_spans,
-    check_workers,
     geomean,
+    nominal,
+    rate_scale,
     repeat_setup,
+    time_scale,
     time_imports,
     unit_loop,
 )
 
 IMPORTS = ["repro.artifacts", "repro.bench.runner", "repro.bench.suite"]
 SMOKE_PROGRAMS = ("ofdf", "tea", "ctbench_modexp")
-#: Timed sections per warm reload.
-WARM_BATCHES = 4
 GATE_INPUTS = 2
+#: ``tail_ms`` averages the slowest 1/TAIL_SHARE of the programs' builds:
+#: six of 24.  A single rank such as the p90 falls between the three
+#: heavy ciphers and the rest, and jumped between them; the mean of the
+#: slowest three still spread 0.16 over five seeds, the slowest six 0.09.
+TAIL_SHARE = 4
 
 
 def _requests(names):
@@ -60,11 +70,10 @@ def setup(ctx: Context) -> None:
 
 
 def build_unit(ctx: Context, requests: list, order: list, index: int):
-    """One cold build, as a single ``build_many`` of every program, then
-    a warm reload in :data:`WARM_BATCHES` timed sections, so each is
-    scaled by loops run at most half a second before its work.
+    """One cold build, as a single serial ``build_many`` of every program,
+    then a timed warm reload.
 
-    Returns ``(cold span, warm spans, variants, cold, warm, tails)``:
+    Returns ``(cold span, warm span, variants, cold, warm, tails)``:
     ``tails`` holds each program's build seconds (its stage timings).  The
     reload parses every variant and drops it, as a one-shot ``lif suite``
     run would; the gates re-parse the warm records untimed.
@@ -73,27 +82,23 @@ def build_unit(ctx: Context, requests: list, order: list, index: int):
 
     root = ctx.work / f"store-{index}"
     gc.collect()
-    with ctx.speed.timed(elsewhere=True) as cold_span:
-        cold = build_many(requests, jobs=ctx.jobs, store=ArtifactStore(root))
+    with ctx.speed.timed() as cold_span:
+        cold = build_many(requests, jobs=1, store=ArtifactStore(root))
     tails = [sum(record.timings.values()) for record in cold]
 
     gc.collect()
     warm = {}
-    warm_spans = []
     variants = 0
     store = ArtifactStore(root)
-    batches = min(WARM_BATCHES, len(requests))
-    for batch in range(batches):
-        with ctx.speed.timed() as span:
-            for position in order[batch::batches]:
-                built = store.load(requests[position].key())
-                for variant in built.ir:
-                    parse_variant(built, variant)
-                    variants += 1
-                warm[position] = built
-        warm_spans.append(span)
+    with ctx.speed.timed() as warm_span:
+        for position in order:
+            built = store.load(requests[position].key())
+            for variant in built.ir:
+                parse_variant(built, variant)
+                variants += 1
+            warm[position] = built
     shutil.rmtree(root, ignore_errors=True)
-    return cold_span, warm_spans, variants, cold, warm, tails
+    return cold_span, warm_span, variants, cold, warm, tails
 
 
 def check_unit(requests, cold, warm, seed: int) -> list:
@@ -171,7 +176,7 @@ def size_ratio(cold) -> float:
     )
 
 
-def _layer_values(clock, cold, wall_s: float, jobs: int) -> dict:
+def _layer_values(clock, cold, wall_s: float) -> dict:
     """Per-layer metrics of one traced unit (its cold build plus reload)."""
     values = clock.snapshot()
     passes: dict = {}
@@ -189,17 +194,15 @@ def _layer_values(clock, cold, wall_s: float, jobs: int) -> dict:
     values["opt.fixpoint_iterations"] = iterations
     values["core.ctsels"] = ctsels
     values["core.shadow_slots"] = shadow
-    # Worker-seconds of the unit not spent in any timed layer: pool
-    # start-up, pickling, scheduling tails, glue.
-    values["unattributed_s"] = wall_s * jobs - clock.attributed_s()
+    # Seconds of the unit not spent in any timed layer: the store, glue.
+    values["unattributed_s"] = wall_s - clock.attributed_s()
     return values
 
 
 def run(ctx: Context) -> Outcome:
     from layers import LayerClock
 
-    check_workers(ctx.jobs, "the suite build")
-    outcome = Outcome(workers=ctx.jobs)
+    outcome = Outcome(workers=1)
     repeat_setup(ctx, outcome, lambda: setup(ctx))
     names = _program_names(ctx)
     requests = _requests(names)
@@ -207,42 +210,35 @@ def run(ctx: Context) -> Outcome:
     order = list(range(len(requests)))
     rng.shuffle(order)
 
-    clock = LayerClock(ctx.work / "layers")
+    clock = LayerClock()
     untraced, traced = [], []
     cold = warm = None
-    builds = []  # (build seconds, speed factor) of every program
     for index in unit_loop(ctx):
         tracing = ctx.trace and index % 2 == 1
         cold = warm = None  # the previous unit's heap must not weigh on this one
         with clock.tracing(tracing):
-            cold_span, warm_spans, variants, cold, warm, tails = build_unit(
+            cold_span, warm_span, variants, cold, warm, tails = build_unit(
                 ctx, requests, order, index
             )
         outcome.attempted += len(requests)
         add_spans(outcome, "latency_ms", [cold_span])
-        builds += [(seconds, cold_span.factor) for seconds in tails]
-        warm_s = sum(s.seconds for s in warm_spans)
-        outcome.add("throughput_per_s", variants / warm_s,
-                    warm_s / sum(s.nominal for s in warm_spans))
-        spans = [cold_span] + warm_spans
-        (traced if tracing else untraced).append(sum(s.nominal for s in spans))
+        slowest = sorted(tails)[-max(1, len(tails) // TAIL_SHARE):]
+        outcome.add("tail_ms", sum(slowest) / len(slowest) * 1000.0,
+                    time_scale([cold_span]))
+        outcome.add("throughput_per_s", variants / warm_span.seconds,
+                    rate_scale([warm_span]))
+        spans = [cold_span, warm_span]
+        (traced if tracing else untraced).append(spans)
         if tracing:
-            clock.absorb_spool()
             if "core.repair" not in clock.seconds:
-                # Build workers started without fork lose the wrappers.
                 outcome.fail("traced build timed no repair calls")
             wall = sum(s.seconds for s in spans)
-            for name, value in _layer_values(clock, cold, wall, ctx.jobs).items():
+            for name, value in _layer_values(clock, cold, wall).items():
                 outcome.add(name, value)
-    # The slowest programs bound the parallel build's makespan.  One
-    # program's build time swings by a third with the host's speed, so the
-    # tail is their p90 pooled over the run's units, not the slowest one.
-    seconds, factor = sorted(builds, key=lambda b: b[0] * b[1])[
-        int(0.9 * (len(builds) - 1))]
-    outcome.add("tail_ms", seconds * 1000.0, factor)
     outcome.add("quality_ratio", size_ratio(cold))
     if ctx.trace:
-        outcome.add("trace.overhead_frac", min(traced) / min(untraced) - 1.0)
+        outcome.add("trace.overhead_frac", min(map(nominal, traced))
+                    / min(map(nominal, untraced)) - 1.0)
 
     failures = check_unit(requests, cold, warm, ctx.seed)
     for message in failures:

@@ -78,6 +78,27 @@ def test_speed_probe_scales_a_section_and_stops():
     assert process.poll() is not None
 
 
+def test_in_process_section_samples_its_speed_while_it_runs():
+    import signal
+    import time
+
+    from harness import SAMPLE_PERIOD_S, Speed
+
+    speed = Speed()
+    started = time.monotonic()
+    with speed.timed() as span:
+        deadline = time.monotonic() + 3 * SAMPLE_PERIOD_S + 0.1
+        while time.monotonic() < deadline:
+            pass
+    wall = time.monotonic() - started
+    # One loop before the section, one per alarm inside it, whose time is
+    # taken out of the section's.
+    assert len(speed.loops) >= 4
+    assert span.seconds < wall - 3 * min(speed.loops) + 0.01
+    assert span.factor == speed.factor() > 0
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 def test_refuses_more_workers_than_cpus(monkeypatch, tmp_path):
     import harness
     import serve_wl

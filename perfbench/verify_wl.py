@@ -21,6 +21,7 @@ batch-vs-interpreter gate samples.
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 import shutil
@@ -28,11 +29,14 @@ import shutil
 from harness import (
     ROOT,
     Context,
+    SETUP_REPEATS_COSTLY,
     Outcome,
     add_slowest,
     add_spans,
     check_workers,
     geomean,
+    nominal,
+    rate_scale,
     repeat_setup,
     time_imports,
     unit_loop,
@@ -282,14 +286,17 @@ def run(ctx: Context) -> Outcome:
         time_imports(IMPORTS)
         builts[:] = build(ctx, names)
 
-    repeat_setup(ctx, outcome, setup)
+    repeat_setup(ctx, outcome, setup, SETUP_REPEATS_COSTLY)
 
-    clock = LayerClock(ctx.work / "layers")
+    clock = LayerClock()
     untraced, traced = [], []
     result = None
     for index in unit_loop(ctx, minimum=PASSES):
         tracing = ctx.trace and index % 2 == 1
-        result = None
+        # The previous pass's modules (and the executor caches they key)
+        # must not weigh on this one.
+        result = programs = None
+        gc.collect()
         programs = prepare(names, builts, ctx.seed)
         with clock.tracing(tracing):
             result = verify_pass(programs, ctx.seed, ctx.speed)
@@ -299,10 +306,9 @@ def run(ctx: Context) -> Outcome:
         add_slowest(outcome, "tail_ms", result["covenant"])
         dudect_s = sum(s.seconds for s in result["dudect"])
         outcome.add("throughput_per_s", result["vectors"] / dudect_s,
-                    dudect_s / sum(s.nominal for s in result["dudect"]))
+                    rate_scale(result["dudect"]))
         wall = sum(s.seconds for s in spans)
-        (traced if tracing else untraced).append(
-            sum(s.nominal for s in spans))
+        (traced if tracing else untraced).append(spans)
         if tracing:
             values = clock.snapshot()
             values["unattributed_s"] = wall - clock.attributed_s()
@@ -310,7 +316,8 @@ def run(ctx: Context) -> Outcome:
                 outcome.add(name, value)
     outcome.add("quality_ratio", cycle_ratio(result["programs"]))
     if ctx.trace:
-        outcome.add("trace.overhead_frac", min(traced) / min(untraced) - 1.0)
+        outcome.add("trace.overhead_frac", min(map(nominal, traced))
+                    / min(map(nominal, untraced)) - 1.0)
 
     failures = (check_verdicts(result["reports"], covenant_table())
                 + check_dudect(result["dudects"])
