@@ -21,7 +21,11 @@ import random
 import time
 from pathlib import Path
 
-from repro.bench.runner import get_artifacts, repaired_inputs
+from repro.bench.runner import (
+    get_artifacts,
+    repaired_inputs,
+    warm_past_tier_up,
+)
 from repro.bench.stats import geomean
 from repro.exec import BatchExecutor, make_executor, run_many
 
@@ -93,6 +97,9 @@ def _time_scalar(module, entry, vectors, record_trace):
         module, backend="compiled", record_trace=record_trace,
         strict_memory=False,
     )
+    # Time steady state: generated code for every block, as in
+    # BENCH_backend (the leader lane of the batch runs shares it).
+    warm_past_tier_up(executor, entry, vectors[:2])
     best = None
     for _ in range(_REPEATS):
         started = time.perf_counter()

@@ -103,10 +103,11 @@ def outputs_match(
 ) -> bool:
     """Same-signature output comparison (the artifact's pass/fail check).
 
-    Defaults to the interpreter backend: the check runs each module a
-    handful of times, so paying ``builtins.compile`` for the compiled
-    backend costs far more than it saves (the backends are differentially
-    tested equivalent).
+    Defaults to the interpreter backend: the check runs each module only a
+    handful of times, too few to pay back the compiled backend's one-time
+    lowering.  Over the suite's SCE checks the compiled backend, lowering
+    included, measured slower than the interpreter (the backends are
+    differentially tested equivalent).
     """
     from repro.exec import make_executor
 

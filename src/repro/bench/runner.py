@@ -33,7 +33,7 @@ from repro.baseline import (
 )
 from repro.bench.suite import Benchmark, benchmark_names, get_benchmark
 from repro.core import RepairOptions, RepairStats, repair_module
-from repro.exec import make_executor
+from repro.exec import compiled, make_executor
 from repro.ir.module import Module
 from repro.verify import adapt_inputs
 
@@ -222,6 +222,15 @@ def measure_cycles(
     for args in inputs:
         total += interpreter.run(entry, [_copy(a) for a in args]).cycles
     return total / len(inputs)
+
+
+def warm_past_tier_up(executor, entry: str,
+                      inputs: Sequence[Sequence[object]]) -> None:
+    """Run ``inputs`` until every block they enter has left the compiled
+    backend's closure tier, so later timing sees steady-state code."""
+    for _ in range(compiled.TIER_UP_THRESHOLD):
+        for args in inputs:
+            executor.run(entry, [_copy(a) for a in args])
 
 
 def _copy(arg):

@@ -63,6 +63,7 @@ from repro.exec.compiled import (
     _UN,
     _UNDEF,
     CompiledExecutor,
+    _env_int,
     _ExecState,
 )
 from repro.exec.costs import DEFAULT_COST_MODEL, CostModel
@@ -113,19 +114,6 @@ def _env_flag(name: str, default: bool) -> bool:
     if not raw:
         return default
     return raw not in ("0", "no", "false", "off")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
-    if value <= 0:
-        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
-    return value
 
 
 class _Fallback(Exception):

@@ -7,8 +7,8 @@ over the instruction classes, a second chain over expression shapes, a
 figure benchmarks and the dudect-style leak hunts — thousands of executions
 per routine per input class — that dispatch dominates the run time.
 
-This backend translates each :class:`~repro.ir.function.Function` **once**
-into a list of specialized Python closures, then executes the closures:
+This backend lowers each :class:`~repro.ir.function.Function` once into
+specialized Python closures, one per instruction and terminator:
 
 * every operand is pre-resolved at compile time — constants are wrapped and
   baked in, variables become integer indices into a flat register file (a
@@ -22,6 +22,11 @@ into a list of specialized Python closures, then executes the closures:
   the counters once per basic block instead of once per instruction;
 * in trace mode the per-block instruction-site sequence is a precomputed
   tuple appended in bulk.
+
+Block bodies are two-tier.  Every body starts on the closures; once a block
+has been entered :data:`TIER_UP_THRESHOLD` times, its body is generated as
+Python source (one function per block, see "block body codegen" below) and
+swapped in, so only blocks that really run hot pay for ``compile``.
 
 Observable semantics are identical to the interpreter's: same results,
 same simulated cycles and step counts, same memory-safety violations, same
@@ -704,15 +709,16 @@ def _compile_terminator(terminator, ctx: _Ctx, block_index: dict,
 
 # -- block body codegen ------------------------------------------------------
 #
-# The per-instruction closures above are the reference lowering (and the
-# delegation target for rare shapes), but calling one closure per dynamic
-# instruction still costs a Python frame each.  For the hot shapes the block
-# body is therefore *generated as Python source* — one function per basic
-# block — so a straight-line run of movs/loads/stores/ctsels executes inside
-# a single frame with every operand inlined as a register-list index or a
-# literal.  Instructions the generator does not recognise (alloc, call,
-# operands that resolve to no slot) are emitted as calls to the closure from
-# the reference lowering, so the two paths can never disagree on semantics.
+# The per-instruction closures above are the reference lowering, the tier
+# every block starts on, and the delegation target for rare shapes, but
+# calling one closure per dynamic instruction still costs a Python frame
+# each.  A hot block's body is therefore *generated as Python source* — one
+# function per basic block — so a straight-line run of
+# movs/loads/stores/ctsels executes inside a single frame with every
+# operand inlined as a register-list index or a literal.  Instructions the
+# generator does not recognise (alloc, call, operands that resolve to no
+# slot) are emitted as calls to the closure from the reference lowering,
+# so the two paths can never disagree on semantics.
 
 _SLIT = str(1 << (WORD_BITS - 1))
 _MLIT = str((1 << WORD_BITS) - 1)
@@ -1091,12 +1097,52 @@ def _codegen_block_fn(label: str, non_phis, terminator, ctx: "_Ctx",
 
 
 def _make_loop_fn(ops: tuple, term):
-    """Fallback body: iterate reference closures (used if codegen fails)."""
+    """Closure-tier body: iterate the reference closures."""
 
     def fn(regs, state, depth):
         for op in ops:
             op(regs, state, depth)
         return term(regs, state)
+
+    return fn
+
+
+#: Entries a block body runs on the reference closures before its source is
+#: generated (see "The two tiers" in docs/BACKENDS.md for the break-even
+#: measurement).  Tests monkeypatch it; 1 generates on first entry.
+TIER_UP_THRESHOLD = 500
+
+
+def _make_tiered_fn(cb, label, non_phis, terminator, ctx, block_index):
+    """Tier-0 body: run the closures, and once the block has been entered
+    ``TIER_UP_THRESHOLD`` times replace ``cb.fn`` with generated code.
+
+    The swap happens at block entry, so no block runs half in one tier.
+    Concurrent callers may both generate; the results are equivalent.
+    """
+    closure_fn = _make_loop_fn(
+        tuple(_compile_instr(ins, ctx) for ins in non_phis),
+        _compile_terminator(terminator, ctx, block_index, None),
+    )
+    entries = 0
+
+    def fn(regs, state, depth):
+        nonlocal entries
+        entries += 1
+        if entries < TIER_UP_THRESHOLD:
+            return closure_fn(regs, state, depth)
+        try:
+            cb.fn = _codegen_block_fn(
+                label, non_phis, terminator, ctx, block_index
+            )
+            OBS.counter("exec.tier.up")
+        except Exception as exc:
+            # The closures are a complete lowering, so the block keeps them.
+            cb.fn = closure_fn
+            OBS.counter("exec.tier.fallback")
+            OBS.event("exec.tier.fallback", function=ctx.fname, block=label,
+                      error=f"{type(exc).__name__}: {exc}")
+        return cb.fn(regs, state, depth)
 
     return fn
 
@@ -1330,20 +1376,9 @@ def _fill_function(
                 _compile_terminator(block.terminator, ctx, block_index, None),
             )
         else:
-            try:
-                cb.fn = _codegen_block_fn(
-                    label, non_phis, block.terminator, ctx, block_index
-                )
-            except Exception:
-                # Codegen is an optimisation; the reference closures are
-                # always a correct lowering, so any generation failure
-                # degrades to them.
-                cb.fn = _make_loop_fn(
-                    tuple(_compile_instr(ins, ctx) for ins in non_phis),
-                    _compile_terminator(
-                        block.terminator, ctx, block_index, None
-                    ),
-                )
+            cb.fn = _make_tiered_fn(
+                cb, label, non_phis, block.terminator, ctx, block_index
+            )
         compiled_blocks.append(cb)
 
     shell.blocks = tuple(compiled_blocks)
@@ -1375,13 +1410,22 @@ EXEC_CACHE_SIZE_ENV_VAR = "REPRO_EXEC_CACHE_SIZE"
 DEFAULT_EXEC_CACHE_SIZE = 128
 
 
-def exec_cache_limit() -> int:
-    raw = os.environ.get(EXEC_CACHE_SIZE_ENV_VAR, "").strip()
+def _env_int(name: str, default: int) -> int:
+    """A positive integer knob; anything else raises naming the knob."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
     try:
-        limit = int(raw) if raw else DEFAULT_EXEC_CACHE_SIZE
+        value = int(raw)
     except ValueError:
-        return DEFAULT_EXEC_CACHE_SIZE
-    return max(1, limit)
+        value = 0
+    if value <= 0:
+        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
+    return value
+
+
+def exec_cache_limit() -> int:
+    return _env_int(EXEC_CACHE_SIZE_ENV_VAR, DEFAULT_EXEC_CACHE_SIZE)
 
 
 _CACHE_LOCK = threading.Lock()
@@ -1498,7 +1542,8 @@ class CompiledExecutor:
 
     Same constructor signature, same :meth:`run` contract, same observable
     semantics; execution runs through closures compiled once per module
-    (shared process-wide through the compile cache).
+    (shared process-wide through the compile cache) and, for hot blocks,
+    through generated code.
     """
 
     def __init__(

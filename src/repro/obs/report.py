@@ -440,15 +440,25 @@ def _bench_section(records: dict) -> str:
     if backend:
         workloads = backend.get("workloads", [])
         rows = [
-            (w["workload"], f"{w['speedup']:.1f}x") for w in workloads
+            (w["workload"], f"{w['speedup']:.1f}x",
+             f"{w.get('cold_speedup', 0):.2f}x")
+            for w in workloads
         ]
         if workloads:
             speedups = [w["speedup"] for w in workloads]
-            rows.append(("**geomean**", f"{_geomean(speedups):.1f}x"))
+            cold = [w.get("cold_speedup", 0) for w in workloads]
+            rows.append(("**geomean**", f"{_geomean(speedups):.1f}x",
+                         f"{_geomean(cold):.2f}x"))
         parts.append(
             "### Compiled-backend speedup (`BENCH_backend.json`)\n\n"
-            + _md_table(["workload", "compiled vs interpreter"], rows)
-            + "\n"
+            + _md_table(["workload", "compiled vs interpreter",
+                         "cold (build + first "
+                         f"{backend.get('cold_runs', 0)} runs)"], rows)
+            + "\n\nBest of "
+            + f"{backend.get('repeats', 0)} runs; the steady-state column "
+            + "times the compiled backend after it has been run past its "
+            + "tier-up threshold, the cold column includes executor "
+            + "construction on a fresh compile.\n"
         )
     batch = records.get("batch")
     if batch:

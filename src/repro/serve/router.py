@@ -50,6 +50,7 @@ from repro.serve.protocol import (
     job_key,
 )
 from repro.serve.ring import HashRing
+from repro.serve.server import SPOOL_ENV_VAR, spool_root
 
 SHARDS_ENV_VAR = "REPRO_SERVE_SHARDS"
 HEALTH_ENV_VAR = "REPRO_SERVE_HEALTH"
@@ -522,7 +523,8 @@ class ShardSupervisor:
 
     Each shard binds an ephemeral port and gets its own journal file
     (``shard-<i>.jsonl`` under ``journal_dir``), so a killed-and-restarted
-    shard replays its own accepted jobs.  The announce line on the
+    shard replays its own accepted jobs, and its own event spool
+    (``shard-<i>`` under the spool root).  The announce line on the
     shard's stderr is how the supervisor learns the bound port.
     """
 
@@ -563,6 +565,9 @@ class ShardSupervisor:
             command += ["--journal", journal]
         env = dict(os.environ if self.env is None else self.env)
         env.setdefault("PYTHONUNBUFFERED", "1")
+        # Job ids restart at j00000001 in every shard, so shards sharing a
+        # spool would stream and unlink each other's event files.
+        env[SPOOL_ENV_VAR] = os.path.join(spool_root(env), f"shard-{index}")
         process = subprocess.Popen(
             command,
             stdout=subprocess.DEVNULL,

@@ -88,6 +88,13 @@ DEFAULT_QUEUE_LIMIT = 512
 DEFAULT_MAX_RETRIES = 2
 
 
+def spool_root(environ) -> str:
+    """The spool directory a server uses when its config names none."""
+    return environ.get(SPOOL_ENV_VAR) or os.path.join(
+        environ.get("REPRO_CACHE_DIR", ".repro-cache"), "serve-spool"
+    )
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
     try:
@@ -305,10 +312,7 @@ class RepairServer:
         self.cache: Optional[ResultCache] = (
             default_result_cache() if self.config.use_cache else None
         )
-        spool = self.config.spool_dir or os.path.join(
-            os.environ.get("REPRO_CACHE_DIR", ".repro-cache"), "serve-spool"
-        )
-        self.spool_dir = Path(spool)
+        self.spool_dir = Path(self.config.spool_dir or spool_root(os.environ))
         self.jobs: dict[str, JobRecord] = {}
         self.by_key: dict[str, str] = {}  # in-flight key -> job_id
         self.queue = WeightedQueue(self.config.class_weights)

@@ -17,7 +17,12 @@ from repro.serve import (
 )
 from repro.serve.client import ServeClient
 from repro.serve.jobs import clear_warm_modules
-from repro.serve.router import RouterConfig, RouterThread, Shard
+from repro.serve.router import (
+    RouterConfig,
+    RouterThread,
+    Shard,
+    ShardSupervisor,
+)
 from repro.serve.server import ServeConfig, ServerThread
 
 GATE = """
@@ -181,3 +186,38 @@ def test_event_stream_pipes_through_the_router(fleet):
              client.events(accepted["job_id"], timeout=60)]
     assert "job.queued" in names
     assert "job.done" in names
+
+
+def test_spawned_shards_keep_separate_event_spools(isolated_cache):
+    # Every shard numbers its jobs from j00000001; the first job of each
+    # shard must stream only its own events.
+    supervisor = ShardSupervisor(2, workers=0)
+    shards = supervisor.start()
+    router = RouterThread(RouterConfig(port=0, health_interval=0.2), shards)
+    try:
+        router.start()
+        client = ServeClient(router.host, router.port)
+        first = {}
+        for i in range(32):
+            spec = _variant(100 + i)
+            first.setdefault(router.router.ring.route(job_key(spec)), spec)
+        assert set(first) == {"s0", "s1"}
+        keys = {}
+        for owner, spec in sorted(first.items()):
+            accepted = client.submit(spec)
+            assert accepted["job_id"] == f"{owner}.j00000001"
+            client.wait(accepted["job_id"], timeout=120)
+            keys[accepted["job_id"]] = accepted["key"]
+        for job_id, key in keys.items():
+            queued = [event["key"] for event in
+                      client.events(job_id, timeout=60)
+                      if event.get("event") == "job.queued"]
+            assert queued == [key], job_id
+        spool = isolated_cache / "cache" / "serve-spool"
+        assert sorted(p.name for p in spool.iterdir()) == [
+            "shard-0", "shard-1",
+        ]
+    finally:
+        router.request_drain()
+        router.join()
+        supervisor.stop()

@@ -75,10 +75,12 @@ def _modules(count, text=ADD_IR):
 def test_limit_env_knob(monkeypatch):
     monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "7")
     assert exec_cache_limit() == 7
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "junk")
-    assert exec_cache_limit() == 128
     monkeypatch.delenv(EXEC_CACHE_SIZE_ENV_VAR)
     assert exec_cache_limit() == 128
+    for junk in ("junk", "0", "-3"):
+        monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, junk)
+        with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+            exec_cache_limit()
 
 
 def test_compile_cache_evicts_least_recently_used(monkeypatch):
