@@ -4,11 +4,10 @@ Measures wall-clock time of the many-vector verify/fuzz workload shapes —
 dudect's fixed-vs-random measurement family, the covenant secret-input
 family (``check_invariance`` with traces), and the semantics oracle's
 matched-pair family (no traces) — submitted as one batch versus a scalar
-loop over the compiled backend.  Three columns per workload: the scalar
-loop, the lock-step tier alone (``trace_spec`` off), and the full batch
-backend with the trace-speculative superblock tier (the shipped default).
-The acceptance bar is a >= 5x geomean for the shipped configuration;
-results are written to ``BENCH_batch.json`` at the repository root.
+loop over the compiled backend.  Two columns per workload: the scalar
+loop and the lock-step batch backend.  The acceptance bar is a >= 5x
+geomean; results are written to ``BENCH_batch.json`` at the repository
+root.
 
 Run standalone (``python benchmarks/bench_batch_speedup.py``) or through
 pytest with the rest of the figure benchmarks.
@@ -98,7 +97,7 @@ def _time_scalar(module, entry, vectors, record_trace):
         strict_memory=False,
     )
     # Time steady state: generated code for every block, as in
-    # BENCH_backend (the leader lane of the batch runs shares it).
+    # BENCH_backend.
     warm_past_tier_up(executor, entry, vectors[:2])
     best = None
     for _ in range(_REPEATS):
@@ -110,10 +109,9 @@ def _time_scalar(module, entry, vectors, record_trace):
     return best
 
 
-def _time_batch(module, entry, vectors, record_trace, trace_spec):
+def _time_batch(module, entry, vectors, record_trace):
     executor = BatchExecutor(
         module, record_trace=record_trace, strict_memory=False,
-        trace_spec=trace_spec,
     )
     executor.run_batch(entry, vectors[:2])  # pay lowering outside the timer
     best = None
@@ -146,27 +144,20 @@ def _check_lanes(module, entry, vectors, record_trace):
 
 
 def measure_batch_speedups():
-    """One row per workload: scalar, lock-step, and trace-tier seconds."""
+    """One row per workload: scalar and lock-step seconds."""
     rows = []
     for label, module, entry, vectors, record_trace in _workloads():
         assert _check_lanes(module, entry, vectors, record_trace), (
             f"{label}: batch lanes diverge from the scalar loop"
         )
         scalar = _time_scalar(module, entry, vectors, record_trace)
-        lockstep = _time_batch(
-            module, entry, vectors, record_trace, trace_spec=False
-        )
-        traced = _time_batch(
-            module, entry, vectors, record_trace, trace_spec=True
-        )
+        lockstep = _time_batch(module, entry, vectors, record_trace)
         rows.append({
             "workload": label,
             "lanes": len(vectors),
             "scalar_seconds": scalar,
             "batch_seconds": lockstep,
-            "batch_trace_seconds": traced,
             "batch_speedup": scalar / lockstep,
-            "batch_trace_speedup": scalar / traced,
         })
     return rows
 
@@ -176,9 +167,6 @@ def report(rows):
         "workloads": rows,
         "geomean_batch_speedup": geomean(
             [r["batch_speedup"] for r in rows]
-        ),
-        "geomean_batch_trace_speedup": geomean(
-            [r["batch_trace_speedup"] for r in rows]
         ),
         "lanes": LANES,
         "repeats": _REPEATS,
@@ -198,29 +186,20 @@ def test_batch_speedup(capsys):
                 f"  {row['workload']:>24}: {row['scalar_seconds'] * 1e3:8.1f} ms"
                 f" -> lock-step {row['batch_seconds'] * 1e3:7.1f} ms"
                 f" ({row['batch_speedup']:.2f}x)"
-                f" / trace {row['batch_trace_seconds'] * 1e3:7.1f} ms"
-                f" ({row['batch_trace_speedup']:.2f}x)"
             )
         print(
-            f"  geomean: lock-step {summary['geomean_batch_speedup']:.2f}x, "
-            f"trace tier {summary['geomean_batch_trace_speedup']:.2f}x "
+            f"  geomean: lock-step {summary['geomean_batch_speedup']:.2f}x "
             f"(written to {_RESULT_PATH.name})"
         )
-    assert summary["geomean_batch_trace_speedup"] >= 5.0, (
+    assert summary["geomean_batch_speedup"] >= 5.0, (
         "batch backend must be at least 5x faster than a scalar compiled "
         "loop on the verify/fuzz many-vector workloads, got "
-        f"{summary['geomean_batch_trace_speedup']:.2f}x"
+        f"{summary['geomean_batch_speedup']:.2f}x"
     )
 
 
 if __name__ == "__main__":
     result = report(measure_batch_speedups())
     for entry in result["workloads"]:
-        print(
-            f"{entry['workload']:>24}: {entry['batch_speedup']:.2f}x / "
-            f"{entry['batch_trace_speedup']:.2f}x"
-        )
-    print(
-        f"geomean: {result['geomean_batch_speedup']:.2f}x lock-step, "
-        f"{result['geomean_batch_trace_speedup']:.2f}x trace tier"
-    )
+        print(f"{entry['workload']:>24}: {entry['batch_speedup']:.2f}x")
+    print(f"geomean: {result['geomean_batch_speedup']:.2f}x lock-step")

@@ -11,11 +11,9 @@ from repro.exec.backend import (
 from repro.exec.batch import (
     BATCH_SIZE_ENV_VAR,
     DEFAULT_BATCH_SIZE,
-    TRACE_SPEC_ENV_VAR,
     BatchExecutor,
     batch_cache_stats,
     clear_batch_caches,
-    trace_cache_stats,
 )
 from repro.exec.compiled import (
     EXEC_CACHE_SIZE_ENV_VAR,
@@ -68,7 +66,6 @@ def executor_cache_stats() -> dict:
         "limit": exec_cache_limit(),
         "compile": compile_cache_stats(),
         "batch": batch_cache_stats(),
-        "trace": trace_cache_stats(),
     }
 
 
@@ -79,11 +76,11 @@ __all__ = [
     "ExecutionResult", "InstructionSite", "Interpreter", "InterpreterError",
     "Memory", "MemoryAccess", "MemorySafetyViolation", "PipelineConfig",
     "PipelineModel", "PipelineReport", "Pointer", "Region",
-    "StepLimitExceeded", "TRACE_SPEC_ENV_VAR", "Trace",
+    "StepLimitExceeded", "Trace",
     "EXEC_CACHE_SIZE_ENV_VAR", "batch_cache_stats", "clear_batch_caches",
     "clear_compile_cache", "compile_cache_stats", "compile_ir_module",
     "default_backend", "exec_cache_limit", "executor_cache_stats",
     "get_compiled", "make_executor", "resolve_backend",
-    "run_many", "trace_cache_stats", "traces_data_consistent",
+    "run_many", "traces_data_consistent",
     "traces_data_invariant", "traces_operation_invariant",
 ]

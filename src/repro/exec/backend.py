@@ -13,9 +13,8 @@ Three backends share the same constructor signature and the same
 * ``"batch"`` — :class:`repro.exec.batch.BatchExecutor`, the
   structure-of-arrays backend.  ``run`` delegates to the compiled backend;
   its extra ``run_batch(name, vectors)`` entry point executes many argument
-  vectors lock-step (with an optional NumPy fast path and a
-  trace-speculative superblock tier) for the many-execution verify/fuzz
-  workloads.  Per-lane results are bit-identical to a scalar loop
+  vectors lock-step (with an optional NumPy fast path) for the
+  many-execution verify/fuzz workloads.  Per-lane results are bit-identical to a scalar loop
   (``tests/integration/test_batch_equivalence.py``).
 
 The default is ``"compiled"``.  It can be overridden per call site (every

@@ -1,4 +1,4 @@
-"""Batched structure-of-arrays execution backend with trace speculation.
+"""Batched structure-of-arrays execution backend.
 
 The covenant verifiers and the differential fuzzer are *many-execution*
 workloads: isochronicity, dudect and the secret-family oracles run the same
@@ -25,18 +25,11 @@ bookkeeping cost once per vector.  This backend evaluates N vectors — the
   lane still reads its exact per-vector cost, which is what the covenant
   clauses and trace-isochronicity checks compare.
 
-* **Trace speculation (superblocks).**  With ``REPRO_TRACE_SPEC`` on (the
-  default), lane 0 first runs scalar under the compiled backend recording
-  the entry function's block sequence; the sequence is flattened into a
-  straight-line *trace program* — phi moves pre-selected per known
-  predecessor edge, branch terminators replaced by guards — cached per
-  module identity and option set exactly like the scalar compile cache.
-  The remaining lanes execute the trace program; a lane whose branch
-  condition disagrees with the recorded direction *aborts* to the general
-  compiled backend (a scalar re-run of that lane from its original
-  arguments, counted as ``exec.trace.abort``) and the surviving lanes are
-  compacted.  With trace speculation off the same lock-step engine drives
-  block-by-block, following the first live lane at every branch.
+* **Divergence.**  The engine drives block by block, following the first
+  live lane at every branch; a lane whose branch condition disagrees
+  leaves lock-step and re-runs scalar on the compiled backend from its
+  original arguments (counted as ``exec.batch.diverge``), and the
+  surviving lanes are compacted.
 
 * **Abort protocol.**  Correctness never depends on the lock-step engine
   handling an exotic case: any error inside a chunk (strict memory
@@ -53,9 +46,6 @@ input class collapses to one execution per chunk this way.
 from __future__ import annotations
 
 import os
-import threading
-import weakref
-from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro.exec.compiled import (
@@ -65,6 +55,7 @@ from repro.exec.compiled import (
     CompiledExecutor,
     _env_int,
     _ExecState,
+    _IdentityCache,
 )
 from repro.exec.costs import DEFAULT_COST_MODEL, CostModel
 from repro.exec.interpreter import (
@@ -100,7 +91,6 @@ except ImportError:  # pragma: no cover - exercised via use_numpy=False
 
 #: Environment knobs (documented in EXPERIMENTS.md).
 BATCH_SIZE_ENV_VAR = "REPRO_BATCH_SIZE"
-TRACE_SPEC_ENV_VAR = "REPRO_TRACE_SPEC"
 NUMPY_ENV_VAR = "REPRO_BATCH_NUMPY"
 
 #: Lanes dispatched per lock-step chunk when ``REPRO_BATCH_SIZE`` is unset.
@@ -110,10 +100,18 @@ _MASK = (1 << WORD_BITS) - 1
 
 
 def _env_flag(name: str, default: bool) -> bool:
+    """A boolean knob; anything but an on/off word raises naming the knob."""
     raw = os.environ.get(name, "").strip().lower()
     if not raw:
         return default
-    return raw not in ("0", "no", "false", "off")
+    if raw in ("1", "yes", "true", "on"):
+        return True
+    if raw in ("0", "no", "false", "off"):
+        return False
+    raise ValueError(
+        f"${name} must be one of 1/yes/true/on or 0/no/false/off, "
+        f"got {raw!r}"
+    )
 
 
 class _Fallback(Exception):
@@ -739,7 +737,7 @@ def _mk_extend(segment: tuple):
 # -- compiled containers and the batch compile cache -------------------------
 
 class _BatchBlock:
-    __slots__ = ("steps", "cycles", "phi_ops", "ops", "term", "has_call")
+    __slots__ = ("steps", "cycles", "phi_ops", "ops", "term")
 
     def __init__(self):
         self.steps = 0
@@ -749,13 +747,12 @@ class _BatchBlock:
         #: One of ("ret", ev) / ("jmp", index, label) /
         #: ("br", cacc, tidx, fidx, tlabel, flabel) / ("invalid", msg).
         self.term = ("invalid", "block has no terminator")
-        self.has_call = False
 
 
 class _BatchFunction:
     __slots__ = (
         "name", "nslots", "param_slots", "param_names", "global_slots",
-        "blocks", "has_calls", "branch_free",
+        "blocks", "branch_free",
     )
 
 
@@ -781,7 +778,6 @@ def _compile_batch_function(
     bf.global_slots = tuple((slots[g], g) for g in module.globals)
     bf.param_slots = tuple(slots[p.name] for p in function.params)
     bf.param_names = tuple(p.name for p in function.params)
-    bf.has_calls = False
 
     ctx = _BCtx(fname, slots, np_mod, record_trace, module, cost_model)
 
@@ -809,8 +805,6 @@ def _compile_batch_function(
             + (cost_model.terminator_cost(block.terminator)
                if block.terminator is not None else 0)
         )
-        bb.has_call = any(isinstance(ins, Call) for ins in non_phis)
-        bf.has_calls = bf.has_calls or bb.has_call
 
         if phis:
             phi_ops: dict[int, object] = {}
@@ -920,64 +914,11 @@ def _compile_batch_function(
     return bf
 
 
-#: ``id(module) -> (weakref, {(record_trace, cost_model, numpy): {fname:
-#: _BatchFunction}})`` — identity-keyed like the scalar compile cache and,
-#: like it, LRU-bounded to ``REPRO_EXEC_CACHE_SIZE`` live module entries
+#: ``{(record_trace, cost_model, numpy): {fname: _BatchFunction}}`` per
+#: module, identity-keyed and LRU-bounded like the scalar compile cache
 #: (the long-running serve workers pin modules across jobs, so an
 #: unbounded cache would grow with every distinct submission).
-_BATCH_LOCK = threading.Lock()
-_BATCH_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_BATCH_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-#: Superblock programs: ``id(module) -> (weakref, {(options, entry, block
-#: sequence): _TraceProgram})``, same LRU discipline.
-_TRACE_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_TRACE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _identity_get(cache, lock, stats, hit_counter, module, key):
-    mid = id(module)
-    with lock:
-        entry = cache.get(mid)
-        if entry is not None:
-            ref, variants = entry
-            if ref() is module:
-                value = variants.get(key)
-                if value is not None:
-                    cache.move_to_end(mid)
-                    stats["hits"] += 1
-                    OBS.counter(hit_counter)
-                    return value
-            else:
-                del cache[mid]
-    return None
-
-
-def _identity_put(cache, lock, stats, evict_counter, module, key, value):
-    from repro.exec.compiled import exec_cache_limit
-
-    mid = id(module)
-    with lock:
-        stats["misses"] += 1
-        entry = cache.get(mid)
-        if entry is not None and entry[0]() is module:
-            entry[1][key] = value
-            cache.move_to_end(mid)
-        else:
-
-            def _evict(_ref, _mid=mid, _cache=cache, _lock=lock):
-                with _lock:
-                    stored = _cache.get(_mid)
-                    if stored is not None and stored[0] is _ref:
-                        del _cache[_mid]
-
-            ref = weakref.ref(module, _evict)
-            cache[mid] = (ref, {key: value})
-            limit = exec_cache_limit()
-            while len(cache) > limit:
-                cache.popitem(last=False)
-                stats["evictions"] += 1
-                OBS.counter(evict_counter)
+_BATCH_CACHE = _IdentityCache("exec.batch_cache")
 
 
 def _get_batch_function(
@@ -985,17 +926,10 @@ def _get_batch_function(
     np_mod,
 ) -> _BatchFunction:
     key = (bool(record_trace), cost_model, np_mod is not None)
-    functions = _identity_get(
-        _BATCH_CACHE, _BATCH_LOCK, _BATCH_STATS, "exec.batch_cache.hits",
-        module, key,
-    )
+    functions = _BATCH_CACHE.get(module, key)
     if functions is None:
         functions = {}
-        OBS.counter("exec.batch_cache.misses")
-        _identity_put(
-            _BATCH_CACHE, _BATCH_LOCK, _BATCH_STATS,
-            "exec.batch_cache.evictions", module, key, functions,
-        )
+        _BATCH_CACHE.put(module, key, functions)
     bf = functions.get(name)
     if bf is None:
         bf = _compile_batch_function(
@@ -1005,126 +939,21 @@ def _get_batch_function(
     return bf
 
 
+def _build_trace_program(*args, **kwargs):
+    """Never called: the superblock trace tier it lowered is gone, but
+    ``perfbench/layers.py`` still hooks this name when it times the
+    ``exec.batch.lower`` layer.  Delete it together with that hook."""
+    raise NotImplementedError("the batch backend has no trace tier")
+
+
 def clear_batch_caches() -> None:
-    """Drop every cached batch lowering and superblock (mainly for tests)."""
-    with _BATCH_LOCK:
-        _BATCH_CACHE.clear()
-        _TRACE_CACHE.clear()
-        for stats in (_BATCH_STATS, _TRACE_STATS):
-            stats["hits"] = 0
-            stats["misses"] = 0
-            stats["evictions"] = 0
+    """Drop every cached batch lowering (mainly for tests)."""
+    _BATCH_CACHE.clear()
 
 
 def batch_cache_stats() -> dict:
     """Hit/miss/eviction counters and entry count of the SoA lowering cache."""
-    with _BATCH_LOCK:
-        return {
-            "hits": _BATCH_STATS["hits"],
-            "misses": _BATCH_STATS["misses"],
-            "evictions": _BATCH_STATS["evictions"],
-            "entries": len(_BATCH_CACHE),
-        }
-
-
-def trace_cache_stats() -> dict:
-    """Hit/miss/eviction counters and entry count of the superblock cache."""
-    with _BATCH_LOCK:
-        return {
-            "hits": _TRACE_STATS["hits"],
-            "misses": _TRACE_STATS["misses"],
-            "evictions": _TRACE_STATS["evictions"],
-            "entries": len(_TRACE_CACHE),
-        }
-
-
-# -- the trace-speculative superblock tier -----------------------------------
-
-class _TraceProgram:
-    """A straight-line lowering of one recorded block sequence.
-
-    ``steps`` holds one entry per trace position: the phi move pre-selected
-    for the known predecessor edge, the block's vector ops, the guard
-    derived from its terminator, and the block's step/cycle increments.
-    """
-
-    __slots__ = ("steps", "ret_ev", "total_steps", "has_calls")
-
-    def __init__(self):
-        self.steps = ()
-        self.ret_ev = None
-        self.total_steps = 0
-        self.has_calls = False
-
-
-#: Guard kinds: check the branch direction, or only the condition's type
-#: (when both edges lead to the recorded successor no lane can diverge).
-_GUARD_DIRECTION = 0
-_GUARD_TYPE_ONLY = 1
-
-
-def _build_trace_program(bf: _BatchFunction, sequence: tuple) -> _TraceProgram:
-    program = _TraceProgram()
-    steps = []
-    prev = -1
-    last = len(sequence) - 1
-    for k, bi in enumerate(sequence):
-        block = bf.blocks[bi]
-        phi_op = None
-        if block.phi_ops is not None:
-            phi_op = block.phi_ops.get(prev)
-            if phi_op is None:
-                raise _Fallback("phi-edge")
-        term = block.term
-        kind = term[0]
-        guard = None
-        if k == last:
-            if kind != "ret":
-                raise _Fallback("trace-tail")
-            program.ret_ev = term[1]
-        else:
-            nxt = sequence[k + 1]
-            if kind == "jmp":
-                if term[1] != nxt:
-                    raise _Fallback("trace-edge")
-            elif kind == "br":
-                cacc, tidx, fidx = term[1], term[2], term[3]
-                if tidx == fidx:
-                    guard = (_GUARD_TYPE_ONLY, cacc, True)
-                elif tidx == nxt:
-                    guard = (_GUARD_DIRECTION, cacc, True)
-                elif fidx == nxt:
-                    guard = (_GUARD_DIRECTION, cacc, False)
-                else:
-                    raise _Fallback("trace-edge")
-            else:
-                raise _Fallback("trace-edge")
-        steps.append((phi_op, block.ops, guard, block.steps, block.cycles))
-        program.total_steps += block.steps
-        program.has_calls = program.has_calls or block.has_call
-        prev = bi
-    program.steps = tuple(steps)
-    return program
-
-
-def _get_trace_program(
-    module: Module, bf: _BatchFunction, name: str, sequence: tuple,
-    record_trace: bool, cost_model: CostModel, np_mod,
-) -> _TraceProgram:
-    key = (bool(record_trace), cost_model, np_mod is not None, name, sequence)
-    program = _identity_get(
-        _TRACE_CACHE, _BATCH_LOCK, _TRACE_STATS, "exec.trace_cache.hits",
-        module, key,
-    )
-    if program is not None:
-        return program
-    program = _build_trace_program(bf, sequence)
-    OBS.counter("exec.trace_cache.misses")
-    _identity_put(
-        _TRACE_CACHE, _BATCH_LOCK, _TRACE_STATS,
-        "exec.trace_cache.evictions", module, key, program,
-    )
-    return program
+    return _BATCH_CACHE.stats()
 
 
 # -- lane trace bank ---------------------------------------------------------
@@ -1256,7 +1085,6 @@ class BatchExecutor:
         max_steps: int = DEFAULT_MAX_STEPS,
         max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
         batch_size: Optional[int] = None,
-        trace_spec: Optional[bool] = None,
         use_numpy: Optional[bool] = None,
     ) -> None:
         self.module = module
@@ -1272,10 +1100,6 @@ class BatchExecutor:
         )
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        self.trace_spec = (
-            trace_spec if trace_spec is not None
-            else _env_flag(TRACE_SPEC_ENV_VAR, True)
-        )
         numpy_wanted = (
             use_numpy if use_numpy is not None
             else _env_flag(NUMPY_ENV_VAR, True)
@@ -1387,22 +1211,7 @@ class BatchExecutor:
             self.module, name, self.record_trace, self.cost_model, self.np
         )
         out: list = [None] * len(vectors)
-        if self.trace_spec:
-            leader, sequence = self._scalar.run_recorded(
-                name, list(vectors[0])
-            )
-            out[0] = leader
-            program = _get_trace_program(
-                self.module, bf, name, sequence, self.record_trace,
-                self.cost_model, self.np,
-            )
-            self._exec_trace(
-                name, bf, program, vectors, list(range(1, len(vectors))), out
-            )
-        else:
-            self._exec_blocks(
-                name, bf, vectors, list(range(len(vectors))), out
-            )
+        self._exec_blocks(name, bf, vectors, list(range(len(vectors))), out)
         return out
 
     def _setup(self, bf: _BatchFunction, vectors, lanes):
@@ -1464,85 +1273,7 @@ class BatchExecutor:
         )
         return bst, bregs, array_pointers
 
-    # -- trace-speculative driver --------------------------------------------
-
-    def _exec_trace(self, name, bf, program, vectors, lanes, out) -> None:
-        if not lanes:
-            return
-        bst, bregs, array_pointers = self._setup(bf, vectors, lanes)
-        max_steps = self.max_steps
-        if self.max_call_depth < 0:
-            raise _Fallback("depth")
-        if not program.has_calls and program.total_steps > max_steps:
-            # The leader would have raised before finishing; replay scalar
-            # so the limit fires at the exact per-lane step.
-            raise _Fallback("steps")
-        check_steps = program.has_calls
-        nd = self.np.ndarray if self.np is not None else None
-        for phi_op, ops, guard, bsteps, bcycles in program.steps:
-            bst.base_steps += bsteps
-            bst.base_cycles += bcycles
-            if check_steps and (
-                bst.base_steps + bst.max_extra_steps > max_steps
-            ):
-                raise _Fallback("steps")
-            if phi_op is not None:
-                phi_op(bregs)
-            for op in ops:
-                op(bregs, bst)
-            if guard is None:
-                continue
-            kind, cacc, expected = guard
-            c = cacc(bregs)
-            cc = c.__class__
-            if cc is int:
-                if kind == _GUARD_TYPE_ONLY or (c != 0) == expected:
-                    continue
-                divergent = list(range(bst.nlanes))
-            elif nd is not None and cc is nd:
-                if kind == _GUARD_TYPE_ONLY:
-                    continue
-                mask = (c != 0) != expected
-                if not mask.any():
-                    continue
-                divergent = [int(i) for i in self.np.nonzero(mask)[0]]
-            elif cc is list:
-                divergent = []
-                for i, x in enumerate(c):
-                    if x.__class__ is not int:
-                        raise InterpreterError(
-                            "branch condition is a pointer"
-                        )
-                    if kind != _GUARD_TYPE_ONLY and (x != 0) != expected:
-                        divergent.append(i)
-                if not divergent:
-                    continue
-            else:
-                raise InterpreterError("branch condition is a pointer")
-            # Speculation failed for these lanes: abort them to the
-            # general compiled backend (scalar re-run from the original
-            # arguments) and compact the survivors.
-            if OBS.enabled:
-                OBS.counter("exec.trace.abort", len(divergent))
-            for i in divergent:
-                out[lanes[i]] = self._scalar.run(name, list(vectors[lanes[i]]))
-            divergent_set = set(divergent)
-            keep = [
-                i for i in range(bst.nlanes) if i not in divergent_set
-            ]
-            if not keep:
-                return
-            lanes = [lanes[i] for i in keep]
-            array_pointers = [
-                [p[i] for i in keep] if p is not None else None
-                for p in array_pointers
-            ]
-            self._compact(bst, bregs, keep)
-        self._finalize(
-            program.ret_ev(bregs), bst, bregs, array_pointers, lanes, out
-        )
-
-    # -- general lock-step driver (trace speculation off) --------------------
+    # -- the lock-step driver ------------------------------------------------
 
     def _exec_blocks(self, name, bf, vectors, lanes, out) -> None:
         bst, bregs, array_pointers = self._setup(bf, vectors, lanes)
@@ -1631,7 +1362,7 @@ class BatchExecutor:
             prev = bi
             bi = nxt
 
-    # -- shared plumbing -----------------------------------------------------
+    # -- lane compaction and results -----------------------------------------
 
     def _compact(self, bst: _BatchState, bregs: list, keep: list) -> None:
         nd = self.np.ndarray if self.np is not None else None

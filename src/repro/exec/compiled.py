@@ -1401,11 +1401,11 @@ def compile_ir_module(
     return CompiledModule(module.name, shells)
 
 
-# -- module-level compile cache ----------------------------------------------
+# -- identity-keyed executor caches -------------------------------------------
 
 #: Bound (live module entries) shared by every identity-keyed executor
-#: cache — compile, SoA and superblock.  Long-running servers pin modules
-#: across jobs, so without a bound these grow with distinct submissions.
+#: cache — compile and SoA.  Long-running servers pin modules across jobs,
+#: so without a bound these grow with distinct submissions.
 EXEC_CACHE_SIZE_ENV_VAR = "REPRO_EXEC_CACHE_SIZE"
 DEFAULT_EXEC_CACHE_SIZE = 128
 
@@ -1428,12 +1428,101 @@ def exec_cache_limit() -> int:
     return _env_int(EXEC_CACHE_SIZE_ENV_VAR, DEFAULT_EXEC_CACHE_SIZE)
 
 
-_CACHE_LOCK = threading.Lock()
-#: ``id(module) -> (weakref to module, {options key: CompiledModule})``,
-#: in LRU order (recency updated on every hit, least-recent evicted once
-#: the entry count passes :func:`exec_cache_limit`).
-_COMPILE_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+class _IdentityCache:
+    """An LRU map from ``(module object, options key)`` to a value.
+
+    Entries are ``id(module) -> (weakref to module, {options key: value})``
+    in LRU order: recency is updated on every hit, and the least-recent
+    entry is evicted once the entry count passes :func:`exec_cache_limit`.
+    An ``id()`` recycled for a new module is detected by re-checking the
+    weakref, and a module's entry is dropped when it is garbage collected.
+    """
+
+    def __init__(self, counter_prefix: str) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[int, tuple]" = OrderedDict()
+        self._dead: list = []
+        self._stats = {"hits": 0, "misses": 0, "evictions": 0}
+        self._prefix = counter_prefix
+
+    def _drop(self, mid: int, ref) -> None:
+        # Caller holds the lock.  The id may already hold a newer module.
+        stored = self._entries.get(mid)
+        if stored is not None and stored[0] is ref:
+            del self._entries[mid]
+
+    def _module_died(self, mid: int, ref) -> None:
+        # Weakref callback.  Garbage collection can run it inside any
+        # allocation, including one made while this thread holds the lock,
+        # so it never waits for the lock: when the lock is busy the entry
+        # is queued for the next locked call to drop.
+        if self._lock.acquire(blocking=False):
+            try:
+                self._drop(mid, ref)
+            finally:
+                self._lock.release()
+        else:
+            self._dead.append((mid, ref))
+
+    def _drop_dead(self) -> None:
+        # Caller holds the lock.
+        while self._dead:
+            self._drop(*self._dead.pop())
+
+    def get(self, module: Module, key):
+        """The cached value for ``(module, key)``, or None on a miss."""
+        mid = id(module)
+        with self._lock:
+            self._drop_dead()
+            entry = self._entries.get(mid)
+            if entry is not None:
+                ref, variants = entry
+                if ref() is module:
+                    value = variants.get(key)
+                    if value is not None:
+                        self._entries.move_to_end(mid)
+                        self._stats["hits"] += 1
+                        OBS.counter(self._prefix + ".hits")
+                        return value
+                else:
+                    # The original module died and its id was recycled.
+                    del self._entries[mid]
+        return None
+
+    def put(self, module: Module, key, value) -> None:
+        """Record a miss and store ``value`` for ``(module, key)``."""
+        OBS.counter(self._prefix + ".misses")
+        mid = id(module)
+        with self._lock:
+            self._drop_dead()
+            self._stats["misses"] += 1
+            entry = self._entries.get(mid)
+            if entry is not None and entry[0]() is module:
+                entry[1][key] = value
+                self._entries.move_to_end(mid)
+                return
+            ref = weakref.ref(module, lambda r: self._module_died(mid, r))
+            self._entries[mid] = (ref, {key: value})
+            limit = exec_cache_limit()
+            while len(self._entries) > limit:
+                self._entries.popitem(last=False)
+                self._stats["evictions"] += 1
+                OBS.counter(self._prefix + ".evictions")
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._dead.clear()
+            for name in self._stats:
+                self._stats[name] = 0
+
+    def stats(self) -> dict:
+        with self._lock:
+            self._drop_dead()
+            return {**self._stats, "entries": len(self._entries)}
+
+
+_COMPILE_CACHE = _IdentityCache("exec.compile_cache")
 
 
 def get_compiled(
@@ -1447,74 +1536,28 @@ def get_compiled(
     The cache keys on **object identity**, not module name: repairing or
     optimizing a module produces a new ``Module`` object and therefore a
     fresh compilation, so stale code can never be served for a rebuilt
-    function of the same name.  Entries are evicted when the module is
-    garbage collected (weakref callback), and an ``id()`` that has been
-    recycled for a new module is detected by re-checking the weakref.
+    function of the same name.
     """
     key = (bool(record_trace), bool(cache_enabled), cost_model)
-    mid = id(module)
-    with _CACHE_LOCK:
-        entry = _COMPILE_CACHE.get(mid)
-        if entry is not None:
-            ref, variants = entry
-            if ref() is module:
-                compiled = variants.get(key)
-                if compiled is not None:
-                    _COMPILE_CACHE.move_to_end(mid)
-                    _CACHE_STATS["hits"] += 1
-                    OBS.counter("exec.compile_cache.hits")
-                    return compiled
-            else:
-                # The original module died and its id was recycled.
-                del _COMPILE_CACHE[mid]
-                entry = None
+    compiled = _COMPILE_CACHE.get(module, key)
+    if compiled is not None:
+        return compiled
     with OBS.span("exec.compile", module=module.name):
         compiled = compile_ir_module(
             module, record_trace=key[0], cache_enabled=key[1], cost_model=cost_model
         )
-    OBS.counter("exec.compile_cache.misses")
-    with _CACHE_LOCK:
-        _CACHE_STATS["misses"] += 1
-        entry = _COMPILE_CACHE.get(mid)
-        if entry is not None and entry[0]() is module:
-            entry[1][key] = compiled
-            _COMPILE_CACHE.move_to_end(mid)
-        else:
-
-            def _evict(_ref, _mid=mid):
-                with _CACHE_LOCK:
-                    stored = _COMPILE_CACHE.get(_mid)
-                    if stored is not None and stored[0] is _ref:
-                        del _COMPILE_CACHE[_mid]
-
-            ref = weakref.ref(module, _evict)
-            _COMPILE_CACHE[mid] = (ref, {key: compiled})
-            limit = exec_cache_limit()
-            while len(_COMPILE_CACHE) > limit:
-                _COMPILE_CACHE.popitem(last=False)
-                _CACHE_STATS["evictions"] += 1
-                OBS.counter("exec.compile_cache.evictions")
+    _COMPILE_CACHE.put(module, key, compiled)
     return compiled
 
 
 def clear_compile_cache() -> None:
     """Drop every cached compilation (mainly for tests)."""
-    with _CACHE_LOCK:
-        _COMPILE_CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0
-        _CACHE_STATS["evictions"] = 0
+    _COMPILE_CACHE.clear()
 
 
 def compile_cache_stats() -> dict:
     """Hit/miss/eviction counters and live entry count of the compile cache."""
-    with _CACHE_LOCK:
-        return {
-            "hits": _CACHE_STATS["hits"],
-            "misses": _CACHE_STATS["misses"],
-            "evictions": _CACHE_STATS["evictions"],
-            "entries": len(_COMPILE_CACHE),
-        }
+    return _COMPILE_CACHE.stats()
 
 
 # -- execution ---------------------------------------------------------------
@@ -1576,58 +1619,6 @@ class CompiledExecutor:
         )
         value = self._exec(compiled_function, runtime_args, state, 0)
         return self._finish(value, state, array_pointers)
-
-    def run_recorded(
-        self, name: str, args: Sequence[object]
-    ) -> tuple[ExecutionResult, tuple[int, ...]]:
-        """Like :meth:`run`, additionally returning the sequence of block
-        indices the *entry* function executed (callee blocks excluded).
-
-        This is the leader run of the batch backend's trace-speculation
-        tier: the recorded sequence becomes the straight-line superblock the
-        remaining lanes execute.
-        """
-        cf, state, runtime_args, array_pointers = self._begin(name, args)
-        if self.max_call_depth < 0:
-            raise InterpreterError(
-                f"call depth exceeded at @{cf.name} (recursive program?)"
-            )
-        regs = [_UNDEF] * cf.nslots
-        if cf.global_slots:
-            global_pointers = state.global_pointers
-            for slot, gname in cf.global_slots:
-                regs[slot] = global_pointers[gname]
-        for slot, value in zip(cf.param_slots, runtime_args):
-            regs[slot] = value
-
-        sequence: list[int] = []
-        blocks = cf.blocks
-        max_steps = self.max_steps
-        bi = 0
-        prev = -1
-        while True:
-            sequence.append(bi)
-            block = blocks[bi]
-            steps = state.steps + block.steps
-            state.steps = steps
-            if steps > max_steps:
-                raise StepLimitExceeded(
-                    f"exceeded {max_steps} steps; the program probably loops"
-                )
-            state.cycles += block.cycles
-            prologue = block.prologue
-            if prologue is not None:
-                prologue(state)
-            phi_ops = block.phi_ops
-            if phi_ops is not None:
-                phi_ops[prev](regs)
-            nxt = block.fn(regs, state, 0)
-            if nxt is None:
-                break
-            prev = bi
-            bi = nxt
-        result = self._finish(state.ret, state, array_pointers)
-        return result, tuple(sequence)
 
     def _begin(self, name: str, args: Sequence[object]):
         """Marshal arguments and build the execution state for one run."""

@@ -464,26 +464,17 @@ def _bench_section(records: dict) -> str:
     if batch:
         workloads = batch.get("workloads", [])
         rows = [
-            (
-                w["workload"],
-                f"{w['batch_speedup']:.1f}x",
-                f"{w['batch_trace_speedup']:.1f}x",
-            )
+            (w["workload"], f"{w['batch_speedup']:.1f}x")
             for w in workloads
         ]
         if workloads:
             rows.append((
                 "**geomean**",
                 f"{batch.get('geomean_batch_speedup', 0):.1f}x",
-                f"{batch.get('geomean_batch_trace_speedup', 0):.1f}x",
             ))
         parts.append(
             "### Batch-backend speedup (`BENCH_batch.json`)\n\n"
-            + _md_table(
-                ["workload", "lock-step vs scalar compiled",
-                 "trace tier vs scalar compiled"],
-                rows,
-            )
+            + _md_table(["workload", "lock-step vs scalar compiled"], rows)
             + "\n\nLane families of "
             + f"{batch.get('lanes', 0)} vectors per workload, best of "
             + f"{batch.get('repeats', 0)} runs; baseline is a scalar loop "

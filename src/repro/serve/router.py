@@ -703,6 +703,8 @@ class RouterThread:
         self.port: Optional[int] = None
         self.error: Optional[BaseException] = None
         self._ready = threading.Event()
+        self._lock = threading.Lock()
+        self._closed = False
         self._thread = threading.Thread(
             target=self._main, name="repro-serve-router", daemon=True
         )
@@ -720,7 +722,11 @@ class RouterThread:
         self.loop = asyncio.get_running_loop()
         self.host, self.port = self.router.address
         self._ready.set()
-        await self.router.wait_closed()
+        try:
+            await self.router.wait_closed()
+        finally:
+            with self._lock:
+                self._closed = True
 
     def start(self) -> "RouterThread":
         self._thread.start()
@@ -732,10 +738,14 @@ class RouterThread:
         return self
 
     def request_drain(self) -> None:
-        if self.loop is not None and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.router.drain())
-            )
+        # Once the router has closed, ``asyncio.run`` is closing the loop on
+        # a still-live thread: the router is already drained, and a callback
+        # sent now would hit a closed loop or start a drain never awaited.
+        with self._lock:
+            if self.loop is not None and not self._closed:
+                self.loop.call_soon_threadsafe(
+                    lambda: asyncio.ensure_future(self.router.drain())
+                )
 
     def probe_now(self) -> None:
         """Force an immediate health sweep (tests don't wait the interval)."""

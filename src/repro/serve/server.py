@@ -859,6 +859,8 @@ class ServerThread:
         self.port: Optional[int] = None
         self.error: Optional[BaseException] = None
         self._ready = threading.Event()
+        self._lock = threading.Lock()
+        self._closed = False
         self._thread = threading.Thread(
             target=self._main, name="repro-serve", daemon=True
         )
@@ -876,7 +878,11 @@ class ServerThread:
         self.loop = asyncio.get_running_loop()
         self.host, self.port = self.server.address
         self._ready.set()
-        await self.server.wait_closed()
+        try:
+            await self.server.wait_closed()
+        finally:
+            with self._lock:
+                self._closed = True
 
     def start(self) -> "ServerThread":
         self._thread.start()
@@ -888,10 +894,14 @@ class ServerThread:
         return self
 
     def request_drain(self) -> None:
-        if self.loop is not None and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.server.drain())
-            )
+        # Once the server has closed, ``asyncio.run`` is closing the loop on
+        # a still-live thread: the server is already drained, and a callback
+        # sent now would hit a closed loop or start a drain never awaited.
+        with self._lock:
+            if self.loop is not None and not self._closed:
+                self.loop.call_soon_threadsafe(
+                    lambda: asyncio.ensure_future(self.server.drain())
+                )
 
     def join(self, timeout: float = 120.0) -> None:
         self._thread.join(timeout)

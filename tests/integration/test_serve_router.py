@@ -6,6 +6,7 @@ affinity, per-shard draining, and failover to live shards.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -221,3 +222,41 @@ def test_spawned_shards_keep_separate_event_spools(isolated_cache):
         router.request_drain()
         router.join()
         supervisor.stop()
+
+
+def _hold_thread_after_loop_close(handle):
+    """Keep a harness thread alive just after ``asyncio.run`` has closed
+    its loop: the window a late drain request can land in."""
+    closed, release = threading.Event(), threading.Event()
+    close = handle.loop.close
+
+    def held_close():
+        close()
+        closed.set()
+        release.wait(60)
+
+    handle.loop.close = held_close
+    return closed, release
+
+
+def test_drain_request_after_shutdown_is_a_noop(isolated_cache):
+    backend = ServerThread(ServeConfig.from_env(port=0, workers=0)).start()
+    router = RouterThread(
+        RouterConfig(port=0, health_interval=0.2),
+        [Shard("s0", backend.host, backend.port)],
+    ).start()
+    handles = (router, backend)
+    held = [_hold_thread_after_loop_close(handle) for handle in handles]
+    # Draining the router also shuts its shard down (POST /v1/shutdown),
+    # so both loops close on their own, as in the fleet fixture.
+    router.request_drain()
+    try:
+        for handle, (closed, _) in zip(handles, held):
+            assert closed.wait(60)
+            assert handle._thread.is_alive()
+            # Already drained: must neither raise nor schedule a drain.
+            handle.request_drain()
+    finally:
+        for handle, (_, release) in zip(handles, held):
+            release.set()
+            handle.join()

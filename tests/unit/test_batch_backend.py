@@ -4,8 +4,8 @@ The end-to-end guarantee (per-lane results bit-identical to a scalar
 loop over all benchmarks) lives in
 ``tests/integration/test_batch_equivalence.py``; this file pins the parts
 of the engine a differential sweep cannot see — environment knobs, the
-deduplication and chunking bookkeeping, the fallback/abort counters, the
-superblock cache, and backend selection.
+deduplication and chunking bookkeeping, the fallback/abort counters, and
+backend selection.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 from repro.exec import (
     BATCH_SIZE_ENV_VAR,
     DEFAULT_BATCH_SIZE,
-    TRACE_SPEC_ENV_VAR,
     BatchExecutor,
     CompiledExecutor,
     make_executor,
@@ -21,7 +20,7 @@ from repro.exec import (
     run_many,
 )
 from repro.exec.backend import BACKEND_ENV_VAR
-from repro.exec.batch import NUMPY_ENV_VAR, clear_batch_caches, trace_cache_stats
+from repro.exec.batch import NUMPY_ENV_VAR
 from repro.ir import parse_module
 from repro.obs import OBS, configure
 
@@ -63,26 +62,18 @@ def _observe(result):
 class TestKnobs:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(BATCH_SIZE_ENV_VAR, raising=False)
-        monkeypatch.delenv(TRACE_SPEC_ENV_VAR, raising=False)
         executor = BatchExecutor(parse_module(SUM_IR))
         assert executor.batch_size == DEFAULT_BATCH_SIZE
-        assert executor.trace_spec is True
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "32")
-        monkeypatch.setenv(TRACE_SPEC_ENV_VAR, "0")
         executor = BatchExecutor(parse_module(SUM_IR))
         assert executor.batch_size == 32
-        assert executor.trace_spec is False
 
     def test_constructor_beats_env(self, monkeypatch):
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "32")
-        monkeypatch.setenv(TRACE_SPEC_ENV_VAR, "0")
-        executor = BatchExecutor(
-            parse_module(SUM_IR), batch_size=4, trace_spec=True,
-        )
+        executor = BatchExecutor(parse_module(SUM_IR), batch_size=4)
         assert executor.batch_size == 4
-        assert executor.trace_spec is True
 
     def test_bad_batch_size_rejected(self, monkeypatch):
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "zero")
@@ -91,6 +82,17 @@ class TestKnobs:
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "-3")
         with pytest.raises(ValueError, match=BATCH_SIZE_ENV_VAR):
             BatchExecutor(parse_module(SUM_IR))
+
+    def test_bad_numpy_flag_rejected(self, monkeypatch):
+        for junk in ("of", "2", "maybe"):
+            monkeypatch.setenv(NUMPY_ENV_VAR, junk)
+            with pytest.raises(ValueError, match=NUMPY_ENV_VAR):
+                BatchExecutor(parse_module(SUM_IR))
+        for word in ("OFF", " No "):
+            monkeypatch.setenv(NUMPY_ENV_VAR, word)
+            assert BatchExecutor(parse_module(SUM_IR)).np is None
+        monkeypatch.setenv(NUMPY_ENV_VAR, "On")
+        BatchExecutor(parse_module(SUM_IR))
 
     def test_numpy_knob_still_exact(self, monkeypatch):
         monkeypatch.setenv(NUMPY_ENV_VAR, "0")
@@ -220,22 +222,6 @@ class TestErrorParity:
             batch.run_batch("sum", vectors)
         assert type(got.value) is type(ref.value)
         assert str(got.value) == str(ref.value)
-
-
-class TestTraceProgramCache:
-    def test_superblock_is_cached_per_module_and_sequence(self):
-        clear_batch_caches()
-        module = parse_module(SUM_IR)
-        executor = BatchExecutor(module, batch_size=4, trace_spec=True)
-        vectors = _sum_vectors(count=12)
-        executor.run_batch("sum", vectors)
-        stats = trace_cache_stats()
-        # Same block sequence in every chunk: one build, then hits.
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
-        assert stats["entries"] == 1
-        clear_batch_caches()
-        assert trace_cache_stats()["entries"] == 0
 
 
 class TestBackendSelection:

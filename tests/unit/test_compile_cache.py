@@ -2,6 +2,7 @@
 staleness — a rebuilt module must never be served another module's code."""
 
 import gc
+import threading
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.exec import (
     compile_cache_stats,
     get_compiled,
 )
+from repro.exec import compiled
 from repro.exec.costs import DEFAULT_COST_MODEL
 from repro.ir import parse_module
 
@@ -124,6 +126,23 @@ class TestLifecycle:
         assert compile_cache_stats()["entries"] == 1
         del module
         gc.collect()
+        assert compile_cache_stats()["entries"] == 0
+
+    def test_module_dying_under_the_cache_lock_does_not_deadlock(self):
+        # Garbage collection can run the weakref callback inside any
+        # allocation, including one made while the cache lock is held.
+        modules = [parse_module(TEXT)]
+        get_compiled(modules[0], False, False, DEFAULT_COST_MODEL)
+        collected = threading.Event()
+
+        def collect_while_locked():
+            with compiled._COMPILE_CACHE._lock:
+                modules.clear()
+                gc.collect()
+            collected.set()
+
+        threading.Thread(target=collect_while_locked, daemon=True).start()
+        assert collected.wait(30)
         assert compile_cache_stats()["entries"] == 0
 
     def test_clear_resets_everything(self):

@@ -1,7 +1,7 @@
 """LRU discipline of the identity-keyed executor caches.
 
 A long-running ``lif serve`` process compiles thousands of distinct
-modules; before this bound the compile/SoA/superblock caches grew without
+modules; before this bound the compile and SoA caches grew without
 limit (weakref eviction only fires when a module is garbage-collected,
 and a warm server deliberately keeps modules alive).  These tests pin the
 ``REPRO_EXEC_CACHE_SIZE`` bound: least-recently-used entries are evicted,
@@ -22,7 +22,6 @@ from repro.exec import (
     get_compiled,
     make_executor,
     run_many,
-    trace_cache_stats,
 )
 from repro.exec.costs import DEFAULT_COST_MODEL
 from repro.ir import parse_module
@@ -125,12 +124,11 @@ def test_batch_caches_are_bounded(monkeypatch):
     stats = batch_cache_stats()
     assert stats["entries"] <= 2
     assert stats["evictions"] >= 2
-    assert trace_cache_stats()["entries"] <= 2
 
 
 def test_executor_cache_stats_shape():
     stats = executor_cache_stats()
-    assert set(stats) == {"limit", "compile", "batch", "trace"}
-    for name in ("compile", "batch", "trace"):
+    assert set(stats) == {"limit", "compile", "batch"}
+    for name in ("compile", "batch"):
         assert set(stats[name]) == {"hits", "misses", "evictions", "entries"}
     assert stats["limit"] == exec_cache_limit()
