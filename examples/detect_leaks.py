@@ -1,8 +1,8 @@
-"""Leak detection: the FlowTracker-style sensitivity analysis.
+"""Leak detection: the FlowTracker-style interprocedural taint analysis.
 
 The paper assumes every input of a crypto routine is sensitive but points
 at FlowTracker for separating secret from public inputs.  This example runs
-the built-in taint analysis on an AES-like S-box kernel and on a lookup
+the built-in taint engine on an AES-like S-box kernel and on a lookup
 routine with mixed public/secret inputs, reporting exactly *which* branches
 and memory accesses leak, and what the repair can and cannot fix.
 
@@ -10,7 +10,8 @@ Run:  python examples/detect_leaks.py
 """
 
 from repro import compile_minic
-from repro.analysis import analyze_sensitivity, classify_data_consistency
+from repro.analysis import classify_data_consistency
+from repro.statics.interproc import analyze_module_taint
 
 SOURCE = """
 const u8 sbox[16] = {12, 5, 6, 11, 9, 0, 10, 13, 3, 14, 15, 8, 4, 7, 1, 2};
@@ -51,16 +52,18 @@ uint masked_sum(uint mask, secret u8 *key) {
 
 def report(module, name: str) -> None:
     function = module.function(name)
-    secrets = list(function.sensitive_params) or None
-    sensitivity = analyze_sensitivity(module, name, secrets)
+    secrets = list(function.sensitive_params) or function.param_names()
+    taint = analyze_module_taint(
+        module, {name: secrets}, include_unreached=False
+    ).functions[name]
     consistency = classify_data_consistency(module, name, secrets)
 
-    print(f"\n@{name} (secrets: {', '.join(sensitivity.sensitive_params) or '-'})")
-    if sensitivity.isochronous:
+    print(f"\n@{name} (secrets: {', '.join(secrets) or '-'})")
+    if not (taint.branch_leaks or taint.index_leaks):
         print("  no leaks: already isochronous with respect to the secrets")
-    for leak in sensitivity.leaky_branches:
+    for leak in taint.branch_leaks:
         print(f"  TIMING LEAK    {leak} — repair will linearise this")
-    for leak in sensitivity.leaky_indices:
+    for leak in taint.index_leaks:
         print(f"  CACHE LEAK     {leak} — inherent: repair cannot remove a "
               "secret-indexed access, only guarantee operation invariance")
     verdict = (

@@ -1,4 +1,7 @@
-"""Static analyses: dominance, path conditions, sizes, taint, consistency."""
+"""Static analyses: dominance, path conditions, sizes, consistency.
+
+Taint analysis lives in :mod:`repro.statics.interproc`.
+"""
 
 from repro.analysis.array_sizes import infer_array_sizes, size_at_call_site
 from repro.analysis.control_dependence import compute_control_dependence
@@ -19,18 +22,10 @@ from repro.analysis.path_conditions import (
     PathConditions,
     compute_path_conditions,
 )
-from repro.analysis.sensitivity import (
-    LeakyBranch,
-    LeakyIndex,
-    SensitivityReport,
-    analyze_function_sensitivity,
-    analyze_sensitivity,
-)
 
 __all__ = [
     "AccessClassification", "BranchAtom", "ConsistencyReport", "DominatorTree",
-    "Formula", "FormulaBudgetExceeded", "LeakyBranch", "LeakyIndex", "PathConditions",
-    "SensitivityReport", "analyze_function_sensitivity", "analyze_sensitivity",
+    "Formula", "FormulaBudgetExceeded", "PathConditions",
     "classify_data_consistency",
     "compute_control_dependence", "compute_dominators",
     "compute_path_conditions", "compute_path_conditions",

@@ -2,10 +2,10 @@
 
 Block B is control-dependent on a branch in block A when A has a successor
 S such that B postdominates S but B does not postdominate A: the branch in A
-decides whether B runs.  The sensitivity analysis uses this to track
-*implicit* information flows (a variable assigned under a secret-dependent
-branch is itself secret), following the FlowTracker approach the paper cites
-for side-channel detection.
+decides whether B runs.  The taint engine (:mod:`repro.statics.interproc`)
+uses this to track *implicit* information flows (a variable assigned under a
+secret-dependent branch is itself secret), following the FlowTracker
+approach the paper cites for side-channel detection.
 """
 
 from __future__ import annotations

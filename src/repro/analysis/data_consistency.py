@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.array_sizes import infer_array_sizes
 from repro.analysis.path_conditions import compute_path_conditions
-from repro.analysis.sensitivity import analyze_sensitivity
 from repro.ir.function import Function
 from repro.ir.instructions import Load, Store
 from repro.ir.module import Module
@@ -85,42 +84,39 @@ def classify_data_consistency(
 ) -> ConsistencyReport:
     """Classify every memory access of ``@function_name``.
 
-    ``sensitive_params`` follows :func:`repro.analysis.sensitivity.
-    analyze_sensitivity` (default: all inputs, the paper's assumption).  For
-    the purpose of this classifier an index "depends on an input" whenever it
-    is tainted.
+    ``sensitive_params`` are the entry's secret inputs (default: all of
+    them, the paper's assumption).  For the purpose of this classifier an
+    index "depends on an input" whenever the interprocedural taint engine
+    (:func:`repro.statics.interproc.analyze_module_taint`) taints it.
     """
+    # Imported here: the engine itself builds on repro.analysis.
+    from repro.statics.interproc import analyze_module_taint
+
     function = module.function(function_name)
-    sensitivity = analyze_sensitivity(module, function_name, sensitive_params)
+    roots = {
+        function_name: (
+            list(sensitive_params) if sensitive_params is not None
+            else function.param_names()
+        )
+    }
+    taint = analyze_module_taint(module, roots, include_unreached=False)
 
     report = ConsistencyReport(function_name)
     report.accesses.extend(_classify_function(
-        module, function, sensitivity.tainted_vars, contracts,
-        forced_guarded=False,
+        module, function, taint.functions[function_name].tainted_full,
+        contracts, forced_guarded=False,
     ))
 
     # Covenant 1 speaks about the whole dynamic extent of the entry, so the
-    # accesses of transitive callees count too; their taint comes from the
-    # interprocedural engine under the contexts the call sites produce.
-    callees = _reachable_callees(module, function_name)
+    # accesses of its transitive callees (every other function the engine
+    # reached) count too, tainted under the contexts the call sites produce.
+    callees = sorted(set(taint.functions) - {function_name})
     if callees:
-        from repro.statics.interproc import analyze_module_taint
-
-        roots = {
-            function_name: (
-                list(sensitive_params) if sensitive_params is not None
-                else function.param_names()
-            )
-        }
-        module_taint = analyze_module_taint(
-            module, roots=roots, include_unreached=False
-        )
         guarded_calls = _guarded_callee_map(module, function_name)
-        for name in sorted(callees):
-            taint = module_taint.functions.get(name)
-            tainted = taint.tainted_full if taint is not None else set()
+        for name in callees:
             report.accesses.extend(_classify_function(
-                module, module.function(name), tainted, None,
+                module, module.function(name),
+                taint.functions[name].tainted_full, None,
                 forced_guarded=guarded_calls.get(name, True),
             ))
     return report
@@ -183,26 +179,6 @@ def _classify_function(
                 )
             )
     return accesses
-
-
-def _reachable_callees(module: Module, entry: str) -> set:
-    """Function names transitively called from ``entry`` (entry excluded)."""
-    from repro.ir.instructions import Call
-
-    seen: set = set()
-    worklist = [entry]
-    while worklist:
-        name = worklist.pop()
-        function = module.functions.get(name)
-        if function is None:
-            continue
-        for block in function.blocks.values():
-            for instr in block.instructions:
-                if isinstance(instr, Call) and instr.callee not in seen:
-                    if instr.callee != entry:
-                        seen.add(instr.callee)
-                    worklist.append(instr.callee)
-    return seen
 
 
 def _guarded_callee_map(module: Module, entry: str) -> dict:

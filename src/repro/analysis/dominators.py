@@ -107,7 +107,7 @@ def compute_postdominators(
     ``virtual_exit=True`` a multi-exit CFG is handled by rooting the tree
     at a synthetic :data:`VIRTUAL_EXIT` node that every exit block jumps
     to — the standard construction, used by the analyses that must also
-    cover *unpreprocessed* input (sensitivity, the static certifier).
+    cover *unpreprocessed* input (the taint engine behind the certifier).
     """
     exits = exit_blocks(function)
     if len(exits) == 1:

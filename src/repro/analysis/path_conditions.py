@@ -10,7 +10,7 @@ Each basic block ``l`` has:
 
 This module computes the conditions *symbolically*, as formulas in
 disjunctive normal form over branch predicates.  The symbolic form is what
-the data-consistency classifier, the sensitivity analysis, and the tests
+the data-consistency classifier and the tests
 (which reproduce the paper's Fig. 5 example) consume.
 
 The repair pass does **not** use this DNF representation — DNF can grow

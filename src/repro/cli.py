@@ -5,8 +5,8 @@ Named after the authors' public tool.  Subcommands:
 * ``lif compile file.mc``        — MiniC → textual IR on stdout
 * ``lif repair file.mc``         — compile, repair, print the isochronous IR
 * ``lif run file.mc fn args``    — execute a function (arrays as 1,2,3 lists)
-* ``lif check file.mc fn``       — detect leaks (sensitivity analysis) and
-                                    classify data consistency
+* ``lif check file.mc fn``       — detect leaks (interprocedural taint)
+                                    and classify data consistency
 * ``lif verify file.mc fn``      — repair and verify Covenant 1 dynamically
 * ``lif lint file.mc [fn]``      — static lint: IR well-formedness plus the
                                     constant-time certifier's verdicts
@@ -28,12 +28,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis import analyze_sensitivity, classify_data_consistency
+from repro.analysis import classify_data_consistency
 from repro.core import RepairOptions, RepairStats, repair_module
 from repro.exec import BACKENDS, make_executor, resolve_backend
 from repro.frontend import compile_source
 from repro.ir import module_to_str, parse_module
 from repro.opt import optimize
+from repro.statics.interproc import analyze_module_taint
 from repro.verify import check_covenant
 
 
@@ -105,19 +106,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     module = _load(args.file)
     function = module.function(args.function)
-    secrets = list(function.sensitive_params) or None
-    report = analyze_sensitivity(module, args.function, secrets)
-    print(f"sensitive parameters: {', '.join(report.sensitive_params) or '-'}")
-    print(f"operation variant (timing leaks): {report.operation_variant}")
-    for leak in report.leaky_branches:
+    secrets = list(function.sensitive_params) or function.param_names()
+    taint = analyze_module_taint(
+        module, {args.function: secrets}, include_unreached=False
+    ).functions[args.function]
+    print(f"sensitive parameters: {', '.join(secrets) or '-'}")
+    print(f"operation variant (timing leaks): {bool(taint.branch_leaks)}")
+    for leak in taint.branch_leaks:
         print(f"  leaky branch: {leak}")
-    print(f"data variant (cache leaks): {report.data_variant}")
-    for leak in report.leaky_indices:
+    print(f"data variant (cache leaks): {bool(taint.index_leaks)}")
+    for leak in taint.index_leaks:
         print(f"  leaky access: {leak}")
     consistency = classify_data_consistency(module, args.function, secrets)
     print(f"inherently data inconsistent: {consistency.inherently_inconsistent}")
     print(f"repair would be data invariant: {consistency.repaired_data_invariant}")
-    return 0 if report.isochronous else 1
+    return 1 if taint.branch_leaks or taint.index_leaks else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -45,7 +45,6 @@ input class collapses to one execution per chunk this way.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 from repro.exec.compiled import (
@@ -82,7 +81,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.ops import WORD_BITS, WORD_BYTES, eval_binop, eval_unop, wrap
 from repro.ir.values import Const, Var
-from repro.obs import OBS
+from repro.obs import OBS, env_flag
 
 try:  # NumPy is optional: the list-vectorized engine is the reference.
     import numpy as _np
@@ -97,21 +96,6 @@ NUMPY_ENV_VAR = "REPRO_BATCH_NUMPY"
 DEFAULT_BATCH_SIZE = 256
 
 _MASK = (1 << WORD_BITS) - 1
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """A boolean knob; anything but an on/off word raises naming the knob."""
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    if raw in ("1", "yes", "true", "on"):
-        return True
-    if raw in ("0", "no", "false", "off"):
-        return False
-    raise ValueError(
-        f"${name} must be one of 1/yes/true/on or 0/no/false/off, "
-        f"got {raw!r}"
-    )
 
 
 class _Fallback(Exception):
@@ -1102,7 +1086,7 @@ class BatchExecutor:
             raise ValueError("batch_size must be positive")
         numpy_wanted = (
             use_numpy if use_numpy is not None
-            else _env_flag(NUMPY_ENV_VAR, True)
+            else env_flag(NUMPY_ENV_VAR, True)
         )
         self.np = _np if (numpy_wanted and _np is not None) else None
         self._scalar = CompiledExecutor(

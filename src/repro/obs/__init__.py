@@ -22,6 +22,7 @@ from repro.obs.collector import (
     TRACE_FILE_ENV_VAR,
     Collector,
     configure,
+    env_flag,
     read_events,
 )
 
@@ -31,5 +32,6 @@ __all__ = [
     "TRACE_FILE_ENV_VAR",
     "Collector",
     "configure",
+    "env_flag",
     "read_events",
 ]

@@ -42,6 +42,21 @@ TRACE_ENV_VAR = "REPRO_TRACE"
 TRACE_FILE_ENV_VAR = "REPRO_TRACE_FILE"
 
 
+def env_flag(name: str, default: bool) -> bool:
+    """A boolean knob; anything but an on/off word raises naming the knob."""
+    raw = os.environ.get(name, "").strip().lower()
+    if not raw:
+        return default
+    if raw in ("1", "yes", "true", "on"):
+        return True
+    if raw in ("0", "no", "false", "off"):
+        return False
+    raise ValueError(
+        f"${name} must be one of 1/yes/true/on or 0/no/false/off, "
+        f"got {raw!r}"
+    )
+
+
 class _NullSpan:
     """The disabled-mode span: a reusable, allocation-free context manager."""
 

@@ -14,14 +14,13 @@ passed (the artifact builder persists it per benchmark) and mirrored to
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.validate import validate_module
-from repro.obs import OBS
+from repro.obs import OBS, env_flag
 from repro.opt.sanitize import LeakFingerprint, check_pass, sanitize_enabled
 from repro.opt.constfold import constant_fold
 from repro.opt.copyprop import propagate_copies
@@ -88,14 +87,17 @@ def optimize_function(
     (:mod:`repro.opt.sanitize`); ``None`` defers to the
     ``REPRO_OPT_SANITIZE`` env var.  ``passes`` overrides the pipeline —
     the sanitizer's tests inject a deliberately leak-introducing pass.
-    ``module`` is handed to the sanitizer's validator so globals and
-    callees resolve.
+    ``module`` is handed to the sanitizer so globals and callees resolve.
     """
     if passes is None:
         passes = PASSES
     if sanitize is None:
         sanitize = sanitize_enabled()
-    fingerprint = LeakFingerprint.of(function) if sanitize else None
+    if sanitize:
+        # Callees do not change while this function is optimised, so every
+        # check can reuse their summaries.
+        summaries: dict = {}
+        fingerprint = LeakFingerprint.of(function, module, summaries)
     fired: list[str] = []
     collecting = report is not None or OBS.enabled
     iterations = 0
@@ -137,7 +139,9 @@ def optimize_function(
             if sanitize and did_change:
                 # A pass that reported no change cannot have introduced a
                 # leak, so only rewrites pay for the re-analysis.
-                fingerprint = check_pass(function, name, fingerprint, module)
+                fingerprint = check_pass(
+                    function, name, fingerprint, module, summaries
+                )
             if did_change:
                 fired.append(name)
                 changed = True
@@ -153,7 +157,7 @@ def optimize_function(
 
 
 def _default_validate() -> bool:
-    return os.environ.get("REPRO_OPT_VALIDATE", "1") != "0"
+    return env_flag("REPRO_OPT_VALIDATE", True)
 
 
 def optimize(
@@ -166,10 +170,12 @@ def optimize(
     """Optimise a copy of the module; ``level=0`` is the identity.
 
     ``validate`` gates the full-module validation of the result: ``None``
-    defers to the ``REPRO_OPT_VALIDATE`` env var (on unless set to ``0``).
+    defers to the ``REPRO_OPT_VALIDATE`` env var (on unless set to an off
+    word such as ``0``).
     The bench harness passes ``False`` so hot-loop rebuilds skip it; tests
     keep the default.  ``sanitize`` gates the per-pass leakage sanitizer
-    (default: the ``REPRO_OPT_SANITIZE`` env var, off unless set).
+    (default: the ``REPRO_OPT_SANITIZE`` env var, off unless set to an on
+    word such as ``1``).
     """
     result = module.clone()
     if level <= 0:

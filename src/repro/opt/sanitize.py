@@ -9,8 +9,10 @@ checks after every pass that
 1. the function is still well-formed SSA
    (:func:`repro.ir.validate.validate_function`), and
 2. the function's *leak fingerprint* — how many secret-dependent branch
-   predicates and secret-indexed memory accesses the sensitivity analysis
-   finds — has not grown relative to the pre-pass IR.
+   predicates, secret-indexed memory accesses and power-imbalanced secret
+   selects the interprocedural taint engine
+   (:mod:`repro.statics.interproc`) finds with the function as its root —
+   has not grown relative to the pre-pass IR.
 
 A violation raises :class:`LeakSanitizerError` whose message and
 diagnostic name the offending pass, so a broken pass is caught at the
@@ -21,21 +23,22 @@ spot).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.analysis.sensitivity import analyze_function_sensitivity
 from repro.ir.function import Function
+from repro.ir.module import Module
 from repro.ir.validate import ValidationError, validate_function
-from repro.obs import OBS
+from repro.obs import OBS, env_flag
 from repro.statics.diagnostics import Anchor, Diagnostic
+from repro.statics.interproc import analyze_module_taint
 
 SANITIZE_ENV_VAR = "REPRO_OPT_SANITIZE"
 
 
 def sanitize_enabled() -> bool:
     """True when ``REPRO_OPT_SANITIZE`` asks for per-pass leak checks."""
-    return os.environ.get(SANITIZE_ENV_VAR, "0") not in ("0", "")
+    return env_flag(SANITIZE_ENV_VAR, False)
 
 
 class LeakSanitizerError(Exception):
@@ -69,15 +72,43 @@ class LeakFingerprint:
     ctsel_imbalances: int = 0
 
     @classmethod
-    def of(cls, function: Function) -> "LeakFingerprint":
-        report = analyze_function_sensitivity(
-            function,
-            list(function.sensitive_params) or None,
+    def of(
+        cls,
+        function: Function,
+        module: Optional[Module] = None,
+        summaries: Optional[dict] = None,
+    ) -> "LeakFingerprint":
+        """Fingerprint ``function``, a root with its declared secrets (all
+        parameters when none are declared).
+
+        ``module`` resolves its callees and globals when it holds
+        ``function``; otherwise the function is analysed alone.
+        ``summaries`` is a callee summary cache shared across the
+        fingerprints of one function while passes rewrite it: its own
+        entries are evicted first, since its body is what changed.  A run
+        that falls back on a call cycle (a fresh run does for every cycle
+        it reaches) empties the cache: a summary inside a cycle may embed
+        the function's old body, or depend on where the cycle was first
+        entered.  So every check that reaches recursion is a fresh
+        analysis.
+        """
+        if module is None or module.functions.get(function.name) is not function:
+            module = Module(function.name, {function.name: function})
+        if summaries is not None:
+            for key in [k for k in summaries if k[0] == function.name]:
+                del summaries[key]
+        secrets = list(function.sensitive_params) or function.param_names()
+        taint = analyze_module_taint(
+            module, {function.name: secrets}, include_unreached=False,
+            summaries=summaries,
         )
+        if summaries is not None and taint.recursion_fallbacks:
+            summaries.clear()
+        record = taint.functions[function.name]
         return cls(
-            len(report.leaky_branches),
-            len(report.leaky_indices),
-            _count_ctsel_imbalances(function, report.tainted_vars),
+            len(record.branch_leaks),
+            len(record.index_leaks),
+            _count_ctsel_imbalances(function, record.tainted_full),
         )
 
 
@@ -110,7 +141,8 @@ def check_pass(
     function: Function,
     pass_name: str,
     before: LeakFingerprint,
-    module=None,
+    module: Optional[Module] = None,
+    summaries: Optional[dict] = None,
 ) -> LeakFingerprint:
     """Assert ``pass_name`` left ``function`` well-formed and leak-free.
 
@@ -120,7 +152,8 @@ def check_pass(
     pass name in the ``block`` slot (the "location" inside the pipeline).
     ``module`` gives the validator the globals and callees the function
     references; without it a function reading a global array would be
-    flagged as using an undefined variable.
+    flagged as using an undefined variable.  ``module`` and ``summaries``
+    are handed on to :meth:`LeakFingerprint.of`.
     """
     if OBS.enabled:
         OBS.counter("statics.sanitizer.checks")
@@ -141,7 +174,7 @@ def check_pass(
             ),
         ) from error
 
-    after = LeakFingerprint.of(function)
+    after = LeakFingerprint.of(function, module, summaries)
     if after.branches > before.branches:
         message = (
             f"pass {pass_name} introduced {after.branches - before.branches} "

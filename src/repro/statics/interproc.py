@@ -1,10 +1,14 @@
 """Interprocedural taint analysis with per-function summaries.
 
-This lifts :mod:`repro.analysis.sensitivity` (one function, calls handled
-conservatively) to whole modules: secret taint is propagated through call
+The repository's one FlowTracker-style leak detector [Rodrigues et al.,
+CC 2016]: given the sensitive parameters of one or more root functions it
+finds the secret-dependent branch predicates (operation leaks) and the
+secret-indexed memory accesses (data leaks).  The certifier, the
+data-consistency classifier, the optimiser's leakage sanitizer and
+``lif check`` all ask it.  Secret taint is propagated through call
 arguments and returns, through global arrays, and through allocated
 regions — including the repair pass's shadow slots — with per-function
-summaries memoised by calling context and a fixpoint over the call graph.
+summaries memoised by calling context.
 
 Two value-taint channels are tracked per variable:
 
@@ -110,6 +114,9 @@ class BranchLeak:
     anchor: Anchor
     predicate: str
 
+    def __str__(self) -> str:
+        return f"branch on {self.predicate} in block {self.anchor.block}"
+
 
 @dataclass(frozen=True)
 class IndexLeak:
@@ -125,6 +132,12 @@ class IndexLeak:
     array: str
     index: str
     data_tainted: bool
+
+    def __str__(self) -> str:
+        return (
+            f"{self.kind} {self.array}[{self.index}] "
+            f"in block {self.anchor.block}"
+        )
 
 
 @dataclass
@@ -142,17 +155,17 @@ class FunctionTaint:
     def _merge_leaks(self, branch_leaks, index_leaks) -> None:
         seen = set(self.branch_leaks)
         self.branch_leaks.extend(l for l in branch_leaks if l not in seen)
-        seen = set(self.index_leaks)
-        # An access can be selector-tainted in one context and data-tainted
-        # in another; keep the stronger classification.
-        weaker = {
-            IndexLeak(l.anchor, l.kind, l.array, l.index, False)
-            for l in index_leaks
-            if l.data_tainted
-        }
-        self.index_leaks = [l for l in self.index_leaks if l not in weaker]
-        seen = set(self.index_leaks) | weaker
-        self.index_leaks.extend(l for l in index_leaks if l not in seen)
+        # One record per access: an access can be selector-tainted in one
+        # context and data-tainted in another, whatever the order the
+        # contexts arrive in; keep the stronger classification.
+        position = {l.anchor: i for i, l in enumerate(self.index_leaks)}
+        for leak in index_leaks:
+            i = position.get(leak.anchor)
+            if i is None:
+                position[leak.anchor] = len(self.index_leaks)
+                self.index_leaks.append(leak)
+            elif leak.data_tainted:
+                self.index_leaks[i] = leak
 
 
 @dataclass
@@ -164,6 +177,61 @@ class ModuleTaint:
     iterations: int = 0
     summaries_computed: int = 0
     recursion_fallbacks: int = 0
+
+
+def _function_shape(function: Function) -> tuple:
+    """What every sweep of ``function`` reads, worked out once per run.
+
+    One ``(predicates, rows)`` pair per block: the predicate names that
+    control the block (transitively, so nested secret regions taint
+    through every level), and per instruction ``(instr, used,
+    data_used)``.  ``used`` is every variable the instruction reads (the
+    full channel); ``data_used`` the value-carrying ones (the data
+    channel): all of them except for a ``ctsel``.  An ordinary select
+    *computes* with its condition — a secret condition choosing between
+    distinct public arms yields a secret value (e.g. the frontend's
+    ternary lowering).  A repair guard's condition is true on every real
+    execution (Covenant 1), so only its first arm reaches the result.
+    """
+    try:
+        direct = compute_control_dependence(function, allow_multiple_exits=True)
+    except ValueError:
+        # No exit block at all (degenerate input): no implicit flows.
+        direct = {label: set() for label in function.blocks}
+
+    closed: dict = {}
+
+    def closure(label: str) -> set:
+        if label in closed:
+            return closed[label]
+        closed[label] = set()  # cycle guard
+        result = set(direct.get(label, ()))
+        for controller in direct.get(label, ()):
+            result |= closure(controller)
+        closed[label] = result
+        return result
+
+    shape = []
+    for label, block in function.blocks.items():
+        predicates = set()
+        for controller in closure(label):
+            terminator = function.blocks[controller].terminator
+            if isinstance(terminator, Br) and isinstance(terminator.cond, Var):
+                predicates.add(terminator.cond.name)
+        rows = []
+        for instr in block.instructions:
+            used = frozenset(instr.used_vars())
+            data_used = used
+            if isinstance(instr, CtSel):
+                operands = (instr.if_true,) if instr.guard else (
+                    instr.cond, instr.if_true, instr.if_false
+                )
+                data_used = frozenset(
+                    v.name for v in operands if isinstance(v, Var)
+                )
+            rows.append((instr, used, data_used))
+        shape.append((frozenset(predicates), tuple(rows)))
+    return tuple(shape)
 
 
 class _FunctionAnalysis:
@@ -220,69 +288,31 @@ class _FunctionAnalysis:
     def _note_write(self, array: Var) -> None:
         self.regions_written.update(self._alias_set(array))
 
-    def _control_predicates(self) -> dict:
-        """Block label -> predicate variable names controlling it
-        (transitively, so nested secret regions taint through every level)."""
-        function = self.function
-        try:
-            direct = compute_control_dependence(
-                function, allow_multiple_exits=True
-            )
-        except ValueError:
-            # No exit block at all (degenerate input): no implicit flows.
-            direct = {label: set() for label in function.blocks}
-
-        closed: dict = {}
-
-        def closure(label: str) -> set:
-            if label in closed:
-                return closed[label]
-            closed[label] = set()  # cycle guard
-            result = set(direct.get(label, ()))
-            for controller in direct.get(label, ()):
-                result |= closure(controller)
-            closed[label] = result
-            return result
-
-        predicates: dict = {}
-        for label in function.blocks:
-            names = []
-            for controller in closure(label):
-                terminator = function.blocks[controller].terminator
-                if isinstance(terminator, Br) and isinstance(terminator.cond, Var):
-                    names.append(terminator.cond.name)
-            predicates[label] = names
-        return predicates
-
     # -- the fixpoint ------------------------------------------------------
 
     def run(self) -> TaintSummary:
-        predicates = self._control_predicates()
+        shape = self.engine.shape(self.function)
         for _ in range(_MAX_ITERATIONS):
             self.iterations += 1
-            if not self._sweep(predicates):
+            if not self._sweep(shape):
                 break
-        self._collect_leaks(predicates)
+        self._collect_leaks()
         return self._summary()
 
-    def _sweep(self, predicates: dict) -> bool:
+    def _sweep(self, shape: tuple) -> bool:
         changed = False
-        for block in self.function.blocks.values():
-            implicit = any(p in self.full for p in predicates[block.label])
-            for index, instr in enumerate(block.instructions):
-                if self._transfer(instr, implicit, block.label, index):
+        for predicates, rows in shape:
+            implicit = not self.full.isdisjoint(predicates)
+            for instr, used, data_used in rows:
+                if self._transfer(instr, used, data_used, implicit):
                     changed = True
         return changed
 
-    def _transfer(self, instr, implicit: bool, label: str, index: int) -> bool:
-        changed = False
+    def _transfer(self, instr, used, data_used, implicit: bool) -> bool:
         if isinstance(instr, Store):
-            used = instr.used_vars()
-            tainted = implicit or any(v in self.full for v in used)
             self._note_write(instr.array)
-            if tainted and self._taint_contents(instr.array):
-                changed = True
-            return changed
+            tainted = implicit or not self.full.isdisjoint(used)
+            return tainted and self._taint_contents(instr.array)
 
         if isinstance(instr, Call):
             return self._transfer_call(instr, implicit)
@@ -290,48 +320,29 @@ class _FunctionAnalysis:
         if instr.dest is None:
             return False
 
-        full = implicit or any(v in self.full for v in instr.used_vars())
+        changed = False
+        full = implicit or not self.full.isdisjoint(used)
+        data = implicit or not self.data.isdisjoint(data_used)
         if isinstance(instr, CtSel):
-            if instr.guard:
-                # Repair guard: the condition is true on every real
-                # execution (Covenant 1), so the selected value is always
-                # the first arm — the condition and the dead arm carry no
-                # data dependence into it.
-                arms = (instr.if_true,)
-                operands = arms
-            else:
-                # An ordinary select *computes* with its condition: a
-                # secret condition choosing between distinct public arms
-                # yields a secret value (e.g. the frontend's ternary
-                # lowering) — ignoring it certified real data leaks.
-                arms = (instr.if_true, instr.if_false)
-                operands = (instr.cond,) + arms
-            data = implicit or any(
-                v.name in self.data for v in operands if isinstance(v, Var)
-            )
             arm_aliases = self._alias_set_of_value(
                 instr.if_true
             ) | self._alias_set_of_value(instr.if_false)
             changed |= self._update_alias(instr.dest, arm_aliases)
-        else:
-            data = implicit or any(v in self.data for v in instr.used_vars())
-            if isinstance(instr, Alloc):
-                changed |= self._update_alias(
-                    instr.dest, frozenset((instr.dest,))
-                )
-                full = data = False  # a fresh pointer value is public
-            elif isinstance(instr, Load):
-                if self._contents_tainted(instr.array):
-                    full = data = True
-            elif isinstance(instr, Mov) and isinstance(instr.expr, Var):
-                changed |= self._update_alias(
-                    instr.dest, self._alias_set_of_value(instr.expr)
-                )
-            elif isinstance(instr, Phi):
-                merged = frozenset()
-                for value, _ in instr.incomings:
-                    merged |= self._alias_set_of_value(value)
-                changed |= self._update_alias(instr.dest, merged)
+        elif isinstance(instr, Alloc):
+            changed |= self._update_alias(instr.dest, frozenset((instr.dest,)))
+            full = data = False  # a fresh pointer value is public
+        elif isinstance(instr, Load):
+            if self._contents_tainted(instr.array):
+                full = data = True
+        elif isinstance(instr, Mov) and isinstance(instr.expr, Var):
+            changed |= self._update_alias(
+                instr.dest, self._alias_set_of_value(instr.expr)
+            )
+        elif isinstance(instr, Phi):
+            merged = frozenset()
+            for value, _ in instr.incomings:
+                merged |= self._alias_set_of_value(value)
+            changed |= self._update_alias(instr.dest, merged)
 
         if full and instr.dest not in self.full:
             self.full.add(instr.dest)
@@ -425,7 +436,7 @@ class _FunctionAnalysis:
 
     # -- results -----------------------------------------------------------
 
-    def _collect_leaks(self, predicates: dict) -> None:
+    def _collect_leaks(self) -> None:
         function = self.function
         for block in function.blocks.values():
             terminator = block.terminator
@@ -487,13 +498,20 @@ class _FunctionAnalysis:
 
 
 class _Engine:
-    """Summary cache and call-graph fixpoint driver."""
+    """Summary cache and call-graph driver."""
 
-    def __init__(self, module: Module) -> None:
+    def __init__(self, module: Module, cache: Optional[dict] = None) -> None:
         self.module = module
-        self.cache: dict = {}
+        self.cache: dict = {} if cache is None else cache
+        self.shapes: dict = {}  # function name -> _function_shape(...)
         self.in_progress: set = set()
         self.result = ModuleTaint(module.name)
+
+    def shape(self, function: Function) -> tuple:
+        shape = self.shapes.get(function.name)
+        if shape is None:
+            shape = self.shapes[function.name] = _function_shape(function)
+        return shape
 
     def summary(self, name: str, context: TaintContext) -> TaintSummary:
         key = (name, context)
@@ -549,6 +567,7 @@ def analyze_module_taint(
     module: Module,
     roots: Optional[dict] = None,
     include_unreached: bool = True,
+    summaries: Optional[dict] = None,
 ) -> ModuleTaint:
     """Interprocedural taint analysis of ``module``.
 
@@ -561,10 +580,15 @@ def analyze_module_taint(
     callees are reported — benchmark modules bundle several variants of a
     routine, and a benchmark's verdict must not be polluted by functions
     its entry never calls.
+
+    ``summaries`` is a summary cache, keyed ``(function name, context)``,
+    to reuse across calls.  Its owner must drop the entries of any
+    function whose body changed, and of every function that can reach it;
+    only those summaries computed by this call are reported.
     """
     if roots is None:
         roots = default_roots(module)
-    engine = _Engine(module)
+    engine = _Engine(module, summaries)
     for name in sorted(roots):
         function = module.functions.get(name)
         if function is None:

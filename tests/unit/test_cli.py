@@ -103,6 +103,36 @@ class TestCheck:
         path.write_text(CONSTANT_TIME_SOURCE)
         assert main(["check", str(path), "mix"]) == 0
 
+    def test_branch_leak_lines_are_pinned(self, source_file, capsys):
+        main(["check", source_file, "compare"])
+        assert capsys.readouterr().out.splitlines() == [
+            "sensitive parameters: a, b",
+            "operation variant (timing leaks): True",
+            "  leaky branch: branch on t2 in block entry",
+            "  leaky branch: branch on t5 in block if.join",
+            "data variant (cache leaks): False",
+            "inherently data inconsistent: False",
+            "repair would be data invariant: True",
+        ]
+
+    def test_index_leak_lines_are_pinned(self, tmp_path, capsys):
+        path = tmp_path / "lookup.mc"
+        path.write_text(
+            "const u8 sbox[4] = {1, 2, 3, 4};\n"
+            "uint lookup(secret uint k, uint pub) {\n"
+            "  return sbox[k & 3] + pub;\n"
+            "}\n"
+        )
+        assert main(["check", str(path), "lookup"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "sensitive parameters: k",
+            "operation variant (timing leaks): False",
+            "data variant (cache leaks): True",
+            "  leaky access: load sbox[t0] in block entry",
+            "inherently data inconsistent: True",
+            "repair would be data invariant: False",
+        ]
+
 
 class TestVerify:
     def test_covenant_verified(self, source_file, capsys):

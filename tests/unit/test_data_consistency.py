@@ -99,3 +99,28 @@ class TestClassification:
         by_desc = {a.description: a for a in report.accesses}
         assert by_desc["x = load a[i]"].input_indexed
         assert not by_desc["store x, a[0]"].input_indexed
+
+    def test_secret_a_callee_writes_into_a_global_indexes_memory(self):
+        # @w stores the secret into @g; @f reads it back and indexes @t
+        # with it.  Only callee summaries see that @g holds a secret.
+        report = classify("""
+        global @g[1]
+        const global @t[16]
+        func @w(k: int) {
+        entry:
+          store k, g[0]
+          ret 0
+        }
+        func @f(k: int) {
+        entry:
+          c = call @w(k)
+          s = load g[0]
+          i = mov s & 15
+          x = load t[i]
+          ret x
+        }
+        """)
+        assert report.inherently_inconsistent
+        by_desc = {a.description: a for a in report.accesses}
+        assert by_desc["x = load t[i]"].input_indexed
+        assert not by_desc["s = load g[0]"].input_indexed

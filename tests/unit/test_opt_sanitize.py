@@ -9,7 +9,7 @@ from repro.opt import (
     LeakSanitizerError,
     sanitize_enabled,
 )
-from repro.opt.pipeline import optimize, optimize_function
+from repro.opt.pipeline import _default_validate, optimize, optimize_function
 
 # A branch-free selection (what the repair emits)...
 CLEAN = """
@@ -41,6 +41,53 @@ func @f(k: int) {
 entry:
   i = mov k & 255
   x = load sbox[i]
+  ret x
+}
+"""
+
+
+# @w stores the secret into the global @g; @f reads it back and indexes @t
+# with it.  Only callee summaries see that @g holds a secret.
+CALLEE_GLOBAL = """
+global @g[1]
+const global @t[16]
+func @w(k: int) {
+entry:
+  store k, g[0]
+  ret 0
+}
+func @f(k: int) {
+entry:
+  c = call @w(k)
+  s = load g[0]
+  i = mov s & 15
+  x = load t[i]
+  ret x
+}
+"""
+
+# The same module before a pass rewrote @f to index @t with the secret.
+CALLEE_GLOBAL_CLEAN = CALLEE_GLOBAL.replace("x = load t[i]", "x = load t[0]")
+
+# @f and @g call each other.
+MUTUAL = """
+const global @t[16]
+func @g(x: int) {
+entry:
+  p = mov x == 0
+  br p, base, step
+base:
+  ret 0
+step:
+  y = mov x - 1
+  r = call @f(y)
+  ret r
+}
+func @f(k: int) {
+entry:
+  r = call @g(k)
+  i = mov r & 15
+  x = load t[0]
   ret x
 }
 """
@@ -133,6 +180,72 @@ class TestCatchesLeakyPass:
         assert fired == []
 
 
+class TestCalleeSummaries:
+    def test_secret_a_callee_writes_into_a_global_is_counted(self):
+        module = parse_module(CALLEE_GLOBAL)
+        fingerprint = LeakFingerprint.of(module.functions["f"], module)
+        assert fingerprint == LeakFingerprint(0, 1)
+
+    def test_pass_indexing_with_a_callee_written_secret_is_caught(self):
+        module = parse_module(CALLEE_GLOBAL_CLEAN)
+        function = module.functions["f"]
+
+        def leak(fn):
+            replace_body(fn, CALLEE_GLOBAL)
+            return True
+
+        with pytest.raises(LeakSanitizerError) as exc:
+            optimize_function(
+                function, passes=(("leak", leak),), sanitize=True,
+                module=module,
+            )
+        assert exc.value.diagnostic.rule == "OPT-LEAK-INDEX"
+
+    def test_shared_summaries_match_a_fresh_fingerprint_after_a_rewrite(self):
+        module = parse_module(CALLEE_GLOBAL_CLEAN)
+        function = module.functions["f"]
+        summaries: dict = {}
+        assert LeakFingerprint.of(function, module, summaries) == (
+            LeakFingerprint(0, 0)
+        )
+        assert {name for name, _ in summaries} == {"f", "w"}
+        replace_body(function, CALLEE_GLOBAL)
+        shared = LeakFingerprint.of(function, module, summaries)
+        assert shared == LeakFingerprint.of(function, module)
+        assert shared == LeakFingerprint(0, 1)
+
+    def test_no_summaries_kept_when_a_call_cycle_is_reachable(self):
+        module = parse_module(MUTUAL + """
+        func @h(k: int) {
+        entry:
+          r = call @g(k)
+          ret r
+        }
+        """)
+        # From inside the cycle, and from a function that calls into it:
+        # the cycle's summaries depend on where it is first entered.
+        for name in ("f", "g", "h"):
+            summaries: dict = {}
+            LeakFingerprint.of(module.functions[name], module, summaries)
+            assert summaries == {}, name
+
+    def test_recursive_module_rewrite_matches_a_fresh_fingerprint(self):
+        module = parse_module(MUTUAL)
+        function = module.functions["f"]
+
+        def index_with_result(fn):
+            replace_body(fn, MUTUAL.replace("load t[0]", "load t[i]"))
+            return True
+
+        with pytest.raises(LeakSanitizerError) as exc:
+            optimize_function(
+                function, passes=(("index", index_with_result),),
+                sanitize=True, module=module,
+            )
+        assert LeakFingerprint.of(function, module) == LeakFingerprint(0, 1)
+        assert "(0 before, 1 after)" in str(exc.value)
+
+
 class TestCleanPipeline:
     def test_real_pipeline_passes_under_sanitizer(self):
         from repro.core.repair import repair_module
@@ -143,12 +256,23 @@ class TestCleanPipeline:
         assert set(optimized.functions) == set(repaired.functions)
 
     def test_env_var_gates_default(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
-        assert not sanitize_enabled()
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "0")
-        assert not sanitize_enabled()
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-        assert sanitize_enabled()
+        for knob, read, default in (
+            (SANITIZE_ENV_VAR, sanitize_enabled, False),
+            ("REPRO_OPT_VALIDATE", _default_validate, True),
+        ):
+            monkeypatch.delenv(knob, raising=False)
+            assert read() is default, knob
+            monkeypatch.setenv(knob, "")
+            assert read() is default, knob
+            for word in ("0", "off", "no", "false", " OFF "):
+                monkeypatch.setenv(knob, word)
+                assert not read(), (knob, word)
+            for word in ("1", "on", "yes", "true", " True "):
+                monkeypatch.setenv(knob, word)
+                assert read(), (knob, word)
+            monkeypatch.setenv(knob, "maybe")
+            with pytest.raises(ValueError, match=knob):
+                read()
 
 
 # Balanced select (arms 1 and 2, equal Hamming weight)...

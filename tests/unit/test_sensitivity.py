@@ -1,11 +1,20 @@
-"""Taint/sensitivity analysis (the FlowTracker-style detector)."""
+"""Leak detection with one root function (the FlowTracker-style queries
+``lif check`` and the opt sanitizer ask the interprocedural engine)."""
 
-from repro.analysis import analyze_sensitivity
 from repro.ir import parse_module
+from repro.statics.interproc import analyze_module_taint
+
+
+def taint_of(module, name: str, secrets=None):
+    """The root's merged record; ``secrets`` defaults to every parameter."""
+    if secrets is None:
+        secrets = module.function(name).param_names()
+    result = analyze_module_taint(module, {name: secrets}, False)
+    return result.functions[name]
 
 
 def analyze(text: str, name: str = "f", secrets=None):
-    return analyze_sensitivity(parse_module(text), name, secrets)
+    return taint_of(parse_module(text), name, secrets)
 
 
 class TestExplicitFlows:
@@ -17,8 +26,8 @@ class TestExplicitFlows:
           ret x
         }
         """)
-        assert "k" in report.tainted_vars
-        assert "x" in report.tainted_vars
+        assert "k" in report.tainted_full
+        assert "x" in report.tainted_full
 
     def test_selected_params_only(self):
         report = analyze("""
@@ -29,8 +38,8 @@ class TestExplicitFlows:
           ret y
         }
         """, secrets=["k"])
-        assert "x" not in report.tainted_vars
-        assert "y" in report.tainted_vars
+        assert "x" not in report.tainted_full
+        assert "y" in report.tainted_full
 
     def test_constants_are_untainted(self):
         report = analyze("""
@@ -41,7 +50,7 @@ class TestExplicitFlows:
           ret y
         }
         """)
-        assert "y" not in report.tainted_vars
+        assert "y" not in report.tainted_full
 
     def test_load_from_secret_array_is_tainted(self):
         report = analyze("""
@@ -51,7 +60,7 @@ class TestExplicitFlows:
           ret x
         }
         """)
-        assert "x" in report.tainted_vars
+        assert "x" in report.tainted_full
 
     def test_load_from_public_table_with_public_index(self):
         report = analyze("""
@@ -62,7 +71,7 @@ class TestExplicitFlows:
           ret x
         }
         """, secrets=["k"])
-        assert "x" not in report.tainted_vars
+        assert "x" not in report.tainted_full
 
     def test_store_taints_array_contents(self):
         report = analyze("""
@@ -74,8 +83,8 @@ class TestExplicitFlows:
           ret x
         }
         """)
-        assert "buf" in report.tainted_arrays
-        assert "x" in report.tainted_vars
+        assert "buf" in report.tainted_regions
+        assert "x" in report.tainted_full
 
 
 class TestImplicitFlows:
@@ -93,7 +102,7 @@ class TestImplicitFlows:
           ret r
         }
         """)
-        assert "leak" in report.tainted_vars
+        assert "leak" in report.tainted_full
 
     def test_nested_implicit_flow_is_transitive(self):
         report = analyze("""
@@ -115,7 +124,7 @@ class TestImplicitFlows:
         """, secrets=["k"])
         # `deep` runs only when k == 0: tainted through the outer branch even
         # though its direct controller (q) is public.
-        assert "deep" in report.tainted_vars
+        assert "deep" in report.tainted_full
 
 
 class TestLeakReporting:
@@ -131,9 +140,9 @@ class TestLeakReporting:
           ret 0
         }
         """)
-        assert report.operation_variant
-        assert report.leaky_branches[0].predicate == "p"
-        assert not report.isochronous
+        assert report.branch_leaks
+        assert report.branch_leaks[0].predicate == "p"
+        assert report.branch_leaks or report.index_leaks
 
     def test_secret_index_is_data_leak(self):
         report = analyze("""
@@ -145,8 +154,8 @@ class TestLeakReporting:
           ret x
         }
         """)
-        assert report.data_variant
-        leak = report.leaky_indices[0]
+        assert report.index_leaks
+        leak = report.index_leaks[0]
         assert (leak.array, leak.index) == ("sbox", "i")
 
     def test_branch_free_public_indexing_is_clean(self):
@@ -159,7 +168,7 @@ class TestLeakReporting:
           ret r
         }
         """)
-        assert report.isochronous
+        assert not (report.branch_leaks or report.index_leaks)
 
     def test_call_taints_pointer_arguments(self):
         report = analyze("""
@@ -176,30 +185,30 @@ class TestLeakReporting:
           ret x
         }
         """)
-        assert "buf" in report.tainted_arrays
-        assert "x" in report.tainted_vars
+        assert "buf" in report.tainted_regions
+        assert "x" in report.tainted_full
 
 
 class TestFig1Classification:
     """The paper's Fig. 1 quartet, classified automatically."""
 
     def test_ofdf_is_operation_and_data_variant(self, fig1_module):
-        report = analyze_sensitivity(fig1_module, "ofdf")
-        assert report.operation_variant
+        report = taint_of(fig1_module, "ofdf")
+        assert report.branch_leaks
 
     def test_ofdt_is_operation_variant_only(self, fig1_module):
-        report = analyze_sensitivity(fig1_module, "ofdt")
-        assert report.operation_variant
-        assert not report.data_variant
+        report = taint_of(fig1_module, "ofdt")
+        assert report.branch_leaks
+        assert not report.index_leaks
 
     def test_otdf_is_data_variant_only(self, fig1_module):
-        report = analyze_sensitivity(fig1_module, "otdf", ["t"])
-        assert not report.operation_variant
-        assert report.data_variant
+        report = taint_of(fig1_module, "otdf", ["t"])
+        assert not report.branch_leaks
+        assert report.index_leaks
 
     def test_otdt_is_isochronous(self, fig1_module):
-        report = analyze_sensitivity(fig1_module, "otdt")
-        assert report.isochronous
+        report = taint_of(fig1_module, "otdt")
+        assert not (report.branch_leaks or report.index_leaks)
 
 
 class TestImplicitFlowRegressions:
@@ -221,8 +230,8 @@ class TestImplicitFlowRegressions:
           ret 1
         }
         """)
-        assert "out" in report.tainted_arrays
-        assert report.operation_variant
+        assert "out" in report.tainted_regions
+        assert report.branch_leaks
 
     def test_early_return_value_is_implicitly_tainted(self):
         report = analyze("""
@@ -237,7 +246,7 @@ class TestImplicitFlowRegressions:
           ret 0
         }
         """)
-        assert "x" in report.tainted_vars
+        assert "x" in report.tainted_full
 
     def test_void_call_taints_pointer_argument(self):
         # The call has no destination: the handler must still run so the
@@ -256,5 +265,5 @@ class TestImplicitFlowRegressions:
           ret x
         }
         """)
-        assert "buf" in report.tainted_arrays
-        assert "x" in report.tainted_vars
+        assert "buf" in report.tainted_regions
+        assert "x" in report.tainted_full

@@ -116,6 +116,47 @@ class TestCallSummaries:
         assert "y" in result.functions["f"].tainted_full
 
 
+# @h's load is data-tainted when called with the secret itself and
+# selector-only when called with a guard select steered by the secret; the
+# data-tainted context reaches @h first.
+MIXED_CONTEXTS = """
+func @h(p: ptr, i: int) {
+entry:
+  x = load p[i]
+  ret x
+}
+func @f(p: ptr, k: int, c: int) {
+entry:
+  a = call @h(p, k)
+  g = ctsel c, 1, 0, guard
+  b = call @h(p, g)
+  ret 0
+}
+"""
+
+
+class TestLeakMerging:
+    def test_one_record_per_access_whatever_the_context_order(self):
+        result = taint(
+            MIXED_CONTEXTS, roots={"f": ["p", "k", "c"]},
+            include_unreached=False,
+        )
+        record = result.functions["h"]
+        assert record.contexts == 2
+        assert len(record.index_leaks) == 1
+        assert record.index_leaks[0].data_tainted
+
+    def test_certifier_reports_the_access_once(self):
+        from repro.statics.certifier import certify_entry
+
+        report = certify_entry(parse_module(MIXED_CONTEXTS), "f")
+        certificate = report.functions["h"]
+        rules = [d.rule for d in certificate.diagnostics]
+        assert rules == ["CT-INDEX-SECRET"]
+        assert certificate.selector_notes == 0
+        assert certificate.data_leaks == 1
+
+
 class TestShadowSlots:
     def test_repaired_guarded_load_keeps_data_channel_clean(self):
         # The repair pass's guarded access (the ``, guard`` marker): the
