@@ -10,17 +10,15 @@ from typing import Iterable, Optional
 
 from repro.artifacts.build import BuildRequest, BuiltArtifacts, build_artifacts
 from repro.artifacts.store import ArtifactStore
-from repro.obs import OBS
+from repro.obs import OBS, env_int
+
+JOBS_ENV_VAR = "REPRO_JOBS"
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit argument, then ``REPRO_JOBS``, then cpu_count."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        if env:
-            jobs = int(env)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = env_int(JOBS_ENV_VAR, os.cpu_count() or 1, 1)
     return max(1, jobs)
 
 

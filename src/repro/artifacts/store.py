@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.artifacts.build import BuiltArtifacts
-from repro.obs import OBS
+from repro.obs import OBS, env_flag, env_int
 
 _META = "meta.json"
 
@@ -31,15 +31,12 @@ _META = "meta.json"
 #: instead of contending on one directory's entry list.
 SHARD_ENV_VAR = "REPRO_CACHE_SHARDS"
 DEFAULT_SHARD_WIDTH = 2
+#: An off word (``0``/``no``/``false``/``off``) disables caching.
+CACHE_ENV_VAR = "REPRO_CACHE"
 
 
 def shard_width_from_env() -> int:
-    raw = os.environ.get(SHARD_ENV_VAR, "").strip()
-    try:
-        width = int(raw) if raw else DEFAULT_SHARD_WIDTH
-    except ValueError:
-        return DEFAULT_SHARD_WIDTH
-    return min(max(width, 0), 8)
+    return env_int(SHARD_ENV_VAR, DEFAULT_SHARD_WIDTH, 0, 8)
 
 
 def default_store() -> "Optional[ArtifactStore]":
@@ -49,7 +46,7 @@ def default_store() -> "Optional[ArtifactStore]":
     relocates the root (default ``.repro-cache`` in the working directory);
     ``REPRO_CACHE_SHARDS`` controls the key-prefix shard width.
     """
-    if os.environ.get("REPRO_CACHE", "1") == "0":
+    if not env_flag(CACHE_ENV_VAR, True):
         return None
     return ArtifactStore(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
 

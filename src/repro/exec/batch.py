@@ -52,7 +52,6 @@ from repro.exec.compiled import (
     _UN,
     _UNDEF,
     CompiledExecutor,
-    _env_int,
     _ExecState,
     _IdentityCache,
 )
@@ -81,7 +80,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.ops import WORD_BITS, WORD_BYTES, eval_binop, eval_unop, wrap
 from repro.ir.values import Const, Var
-from repro.obs import OBS, env_flag
+from repro.obs import OBS, env_flag, env_int
 
 try:  # NumPy is optional: the list-vectorized engine is the reference.
     import numpy as _np
@@ -1080,7 +1079,7 @@ class BatchExecutor:
         self.max_call_depth = max_call_depth
         self.batch_size = (
             batch_size if batch_size is not None
-            else _env_int(BATCH_SIZE_ENV_VAR, DEFAULT_BATCH_SIZE)
+            else env_int(BATCH_SIZE_ENV_VAR, DEFAULT_BATCH_SIZE, 1)
         )
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")

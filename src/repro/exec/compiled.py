@@ -47,7 +47,6 @@ therefore never sees stale code.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -82,7 +81,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.ops import WORD_BITS, WORD_BYTES, eval_binop, eval_unop, wrap
 from repro.ir.values import Const, Var
-from repro.obs import OBS
+from repro.obs import OBS, env_int
 
 #: Sentinel stored in register slots that have not been written yet.
 _UNDEF = object()
@@ -1410,22 +1409,8 @@ EXEC_CACHE_SIZE_ENV_VAR = "REPRO_EXEC_CACHE_SIZE"
 DEFAULT_EXEC_CACHE_SIZE = 128
 
 
-def _env_int(name: str, default: int) -> int:
-    """A positive integer knob; anything else raises naming the knob."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
-    return value
-
-
 def exec_cache_limit() -> int:
-    return _env_int(EXEC_CACHE_SIZE_ENV_VAR, DEFAULT_EXEC_CACHE_SIZE)
+    return env_int(EXEC_CACHE_SIZE_ENV_VAR, DEFAULT_EXEC_CACHE_SIZE, 1)
 
 
 class _IdentityCache:

@@ -64,7 +64,7 @@ from repro.fuzz.generators import FuzzConfig, generate_program, random_ir_module
 from repro.fuzz.mutate import mutate_ir, mutate_spec
 from repro.fuzz.oracles import ORACLES
 from repro.fuzz.spec import render_program
-from repro.obs import OBS
+from repro.obs import OBS, env_int
 
 #: Samples per round — the determinism barrier (env-tunable).
 ROUND_ENV_VAR = "REPRO_FUZZ_ROUND"
@@ -90,21 +90,11 @@ _CHECKPOINT_VERSION = 1
 
 
 def round_size_from_env() -> int:
-    raw = os.environ.get(ROUND_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_ROUND_SIZE
-    except ValueError:
-        return DEFAULT_ROUND_SIZE
-    return max(1, value)
+    return env_int(ROUND_ENV_VAR, DEFAULT_ROUND_SIZE, 1)
 
 
 def corpus_max_from_env() -> int:
-    raw = os.environ.get(CORPUS_MAX_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_CORPUS_MAX
-    except ValueError:
-        return DEFAULT_CORPUS_MAX
-    return max(1, value)
+    return env_int(CORPUS_MAX_ENV_VAR, DEFAULT_CORPUS_MAX, 1)
 
 
 class CampaignAborted(RuntimeError):

@@ -26,7 +26,6 @@ falls back to a fresh seeded sample so campaigns never stall.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 import re
 from typing import Optional
@@ -59,7 +58,7 @@ from repro.fuzz.spec import (
     UnE,
     render_program,
 )
-from repro.obs import OBS
+from repro.obs import OBS, env_int
 
 #: Bounded validity retries per mutation before the fresh-sample fallback.
 MUTATE_RETRIES_ENV_VAR = "REPRO_FUZZ_MUTATE_RETRIES"
@@ -72,12 +71,7 @@ _BINOP_SWAPS = (
 
 
 def mutate_retries() -> int:
-    raw = os.environ.get(MUTATE_RETRIES_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_MUTATE_RETRIES
-    except ValueError:
-        return DEFAULT_MUTATE_RETRIES
-    return max(1, value)
+    return env_int(MUTATE_RETRIES_ENV_VAR, DEFAULT_MUTATE_RETRIES, 1)
 
 
 # -- MiniC spec mutation -----------------------------------------------------

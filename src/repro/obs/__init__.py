@@ -23,6 +23,8 @@ from repro.obs.collector import (
     Collector,
     configure,
     env_flag,
+    env_float,
+    env_int,
     read_events,
 )
 
@@ -33,5 +35,7 @@ __all__ = [
     "Collector",
     "configure",
     "env_flag",
+    "env_float",
+    "env_int",
     "read_events",
 ]

@@ -31,6 +31,7 @@ are documented in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -55,6 +56,40 @@ def env_flag(name: str, default: bool) -> bool:
         f"${name} must be one of 1/yes/true/on or 0/no/false/off, "
         f"got {raw!r}"
     )
+
+
+def env_int(name: str, default: int, lo: Optional[int] = None,
+            hi: Optional[int] = None) -> int:
+    """An integer knob in ``[lo, hi]``; anything else raises naming it."""
+    return _env_number(name, default, int, "an integer", lo, hi)
+
+
+def env_float(name: str, default: float, lo: Optional[float] = None,
+              hi: Optional[float] = None) -> float:
+    """A finite number knob in ``[lo, hi]``; anything else raises naming it."""
+    return _env_number(name, default, float, "a number", lo, hi)
+
+
+def _env_number(name, default, parse, kind, lo, hi):
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = parse(raw)
+    except ValueError:
+        value = None
+    # ``abs(value) < inf`` also rejects NaN and never overflows an int.
+    if value is None or not abs(value) < math.inf \
+            or (lo is not None and value < lo) \
+            or (hi is not None and value > hi):
+        if lo is not None and hi is not None:
+            kind += f" in [{lo}, {hi}]"
+        elif lo is not None:
+            kind += f" >= {lo}"
+        elif hi is not None:
+            kind += f" <= {hi}"
+        raise ValueError(f"${name} must be {kind}, got {raw!r}")
+    return value
 
 
 class _NullSpan:

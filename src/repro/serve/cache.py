@@ -25,9 +25,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.artifacts.store import SHARD_ENV_VAR, shard_width_from_env
-from repro.obs import OBS
+from repro.obs import OBS, env_flag
 
-#: Root override for the serve result cache specifically.
+#: An off word disables the serve result cache specifically.
 SERVE_CACHE_ENV_VAR = "REPRO_SERVE_CACHE"
 
 __all__ = [
@@ -46,9 +46,8 @@ def default_result_cache() -> "Optional[ResultCache]":
     ``serve/`` namespace; ``REPRO_SERVE_CACHE=0`` (or ``REPRO_CACHE=0``)
     disables result caching without touching the artifact store.
     """
-    if os.environ.get("REPRO_CACHE", "1") == "0":
-        return None
-    if os.environ.get(SERVE_CACHE_ENV_VAR, "1") == "0":
+    if not (env_flag("REPRO_CACHE", True)
+            and env_flag(SERVE_CACHE_ENV_VAR, True)):
         return None
     root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache")) / "serve"
     return ResultCache(root)

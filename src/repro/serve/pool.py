@@ -28,6 +28,7 @@ import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Optional
 
+from repro.obs import env_int
 from repro.serve.faults import apply_worker_fault
 from repro.serve.jobs import canonical_result_bytes, execute_job
 from repro.serve.protocol import JobSpec
@@ -37,20 +38,10 @@ RECYCLE_ENV_VAR = "REPRO_SERVE_RECYCLE"
 DEFAULT_RECYCLE = 200
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit, then ``REPRO_SERVE_WORKERS``, then cpu."""
     if workers is None:
-        workers = _env_int(WORKERS_ENV_VAR, -1)
-        if workers < 0:
-            workers = os.cpu_count() or 1
+        workers = env_int(WORKERS_ENV_VAR, os.cpu_count() or 1, 0)
     return max(0, workers)
 
 
@@ -105,7 +96,7 @@ class WarmPool:
     ) -> None:
         self.workers = resolve_workers(workers)
         self.recycle = (
-            _env_int(RECYCLE_ENV_VAR, DEFAULT_RECYCLE)
+            env_int(RECYCLE_ENV_VAR, DEFAULT_RECYCLE, 0)
             if recycle is None
             else recycle
         )

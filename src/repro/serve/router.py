@@ -19,6 +19,10 @@ restart loses nothing.  Shard health is probed every
 ``REPRO_SERVE_HEALTH`` seconds and on every forwarding failure; a shard
 that answers again is restored to the ring (``serve.shard.recovered``).
 
+:class:`RouterServer` adds forwarding routes, the fleet drain and the
+health loop to the plumbing it shares with the shard server
+(:class:`repro.serve.httpio.HTTPService`).
+
 Per-shard draining: ``POST /v1/shards/<sid>/drain`` takes one shard out
 of the intake ring and lets its in-flight jobs finish while the rest of
 the fleet keeps accepting — the rolling-restart primitive.
@@ -41,20 +45,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs import OBS
+from repro.obs import OBS, env_float, env_int
 from repro.serve import httpio
-from repro.serve.protocol import (
-    JobSpec,
-    ProtocolError,
-    decode_json,
-    job_key,
-)
+from repro.serve.protocol import JobSpec, decode_json, job_key
 from repro.serve.ring import HashRing
-from repro.serve.server import SPOOL_ENV_VAR, spool_root
+from repro.serve.server import (
+    DEFAULT_PORT,
+    HOST_ENV_VAR,
+    PORT_ENV_VAR,
+    SPOOL_ENV_VAR,
+    spool_root,
+)
 
-SHARDS_ENV_VAR = "REPRO_SERVE_SHARDS"
 HEALTH_ENV_VAR = "REPRO_SERVE_HEALTH"
 DEFAULT_HEALTH_INTERVAL = 2.0
+#: Shortest accepted probe interval; shorter would keep the router busy.
+MIN_HEALTH_INTERVAL = 0.1
 
 #: Seconds the router gives a shard to answer one forwarded request.
 FORWARD_TIMEOUT = 600.0
@@ -62,8 +68,7 @@ FORWARD_TIMEOUT = 600.0
 PROBE_TIMEOUT = 5.0
 
 #: Transport failures that demote a shard and trigger failover.
-_TRANSPORT_ERRORS = (OSError, ConnectionError, asyncio.TimeoutError,
-                     asyncio.IncompleteReadError, EOFError)
+_TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, EOFError)
 
 
 @dataclass
@@ -99,78 +104,51 @@ class RouterConfig:
     """Bind address and probe cadence of the shard router."""
 
     host: str = "127.0.0.1"
-    port: int = 8765
+    port: int = DEFAULT_PORT
     health_interval: float = DEFAULT_HEALTH_INTERVAL
     forward_timeout: float = FORWARD_TIMEOUT
 
     @classmethod
     def from_env(cls, **overrides) -> "RouterConfig":
         config = cls(
-            host=os.environ.get("REPRO_SERVE_HOST", "127.0.0.1"),
-            health_interval=_env_float(
-                HEALTH_ENV_VAR, DEFAULT_HEALTH_INTERVAL
+            host=os.environ.get(HOST_ENV_VAR, "127.0.0.1"),
+            port=env_int(PORT_ENV_VAR, DEFAULT_PORT, 0, 65535),
+            health_interval=env_float(
+                HEALTH_ENV_VAR, DEFAULT_HEALTH_INTERVAL, MIN_HEALTH_INTERVAL
             ),
         )
-        raw_port = os.environ.get("REPRO_SERVE_PORT", "").strip()
-        if raw_port.isdigit():
-            config.port = int(raw_port)
         for name, value in overrides.items():
             if value is not None:
                 setattr(config, name, value)
         return config
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
-
-class RouterServer:
+class RouterServer(httpio.HTTPService):
     """Consistent-hash front door over a fleet of repair shards."""
+
+    INTERNAL_ERRORS = "serve.router.internal_errors"
 
     def __init__(self, config: RouterConfig, shards: "list[Shard]") -> None:
         if not shards:
             raise ValueError("router needs at least one shard")
-        self.config = config
+        super().__init__(config)
         self.shards: "dict[str, Shard]" = {
             shard.shard_id: shard for shard in shards
         }
         self.ring = HashRing()
         for shard_id in self.shards:
             self.ring.add(shard_id)
-        self.counters: dict[str, int] = {}
-        self.draining = False
-        self._drained = asyncio.Event()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        self.started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def address(self) -> tuple:
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
-
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await super().start()
         self._health_task = asyncio.create_task(self._health_loop())
 
-    async def wait_closed(self) -> None:
-        await self._drained.wait()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-        self._server.close()
-        await self._server.wait_closed()
+    async def _teardown(self) -> None:
+        self._health_task.cancel()
+        await asyncio.gather(self._health_task, return_exceptions=True)
 
     async def drain(self) -> None:
         """Drain every shard, then the router itself."""
@@ -205,12 +183,7 @@ class RouterServer:
         ]
 
     async def _forward_submit(self, body: bytes, writer) -> None:
-        try:
-            spec = JobSpec.from_payload(decode_json(body))
-        except ProtocolError as exc:
-            await httpio.respond(writer, 400, {"error": "bad_request",
-                                               "detail": str(exc)})
-            return
+        spec = JobSpec.from_payload(decode_json(body))  # ProtocolError: 400
         key = job_key(spec)
         self._count("serve.router.submitted")
         last_error = "no live shards"
@@ -234,12 +207,7 @@ class RouterServer:
                 last_error = f"shard {shard.shard_id} draining"
                 continue
             shard.forwarded += 1
-            if isinstance(payload, dict) and "job_id" in payload:
-                payload["job_id"] = f"{shard.shard_id}.{payload['job_id']}"
-                payload["shard"] = shard.shard_id
-                await httpio.respond(writer, status, payload)
-                return
-            await httpio.respond_raw(writer, status, blob)
+            await _relay(writer, shard.shard_id, status, blob, payload)
             return
         self._count("serve.router.no_shard")
         await httpio.respond(
@@ -264,7 +232,7 @@ class RouterServer:
         if query:
             target += f"?{query}"
         if sub == "events":
-            await self._pipe(shard, "GET", target, writer)
+            await self._pipe(shard, target, writer)
             return
         try:
             status, blob = await httpio.fetch(
@@ -278,18 +246,12 @@ class RouterServer:
                 {"error": "shard_unreachable", "shard": shard_id},
             )
             return
-        payload = _maybe_json(blob)
-        if sub == "" and isinstance(payload, dict) and "job_id" in payload:
-            payload["job_id"] = f"{shard_id}.{payload['job_id']}"
-            payload["shard"] = shard_id
-            await httpio.respond(writer, status, payload)
-            return
         # Results pass through raw: byte-identity with the shard (and
         # with a direct repro.api call) is a soak-benchmark invariant.
-        await httpio.respond_raw(writer, status, blob)
+        await _relay(writer, shard_id, status, blob,
+                     None if sub else _maybe_json(blob))
 
-    async def _pipe(self, shard: Shard, method: str, target: str,
-                    writer) -> None:
+    async def _pipe(self, shard: Shard, target: str, writer) -> None:
         """Stream a shard response (event tail) through verbatim."""
         try:
             reader, upstream = await asyncio.open_connection(
@@ -304,11 +266,7 @@ class RouterServer:
             return
         try:
             upstream.write(
-                (
-                    f"{method} {target} HTTP/1.1\r\n"
-                    f"Host: {shard.host}:{shard.port}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode("latin-1")
+                httpio.request_head(shard.host, shard.port, "GET", target)
             )
             await upstream.drain()
             while True:
@@ -409,51 +367,13 @@ class RouterServer:
         view["shard_stats"] = dict(sorted(shard_stats.items()))
         return view
 
-    def _count(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-        if OBS.enabled:
-            OBS.counter(name, value)
+    # -- routes --------------------------------------------------------------
 
-    # -- HTTP plumbing -------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            request = await httpio.read_request(reader)
-            if request is None:
-                return
-            method, target, body = request
-            await self._route(method, target, body, writer)
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except ProtocolError as exc:
-            await httpio.respond(writer, 400, {"error": "bad_request",
-                                               "detail": str(exc)})
-        except Exception as exc:  # never kill the accept loop
-            self._count("serve.router.internal_errors")
-            try:
-                await httpio.respond(
-                    writer, 500,
-                    {"error": "internal",
-                     "detail": f"{type(exc).__name__}: {exc}"},
-                )
-            except OSError:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _route(self, method: str, target: str, body: bytes,
+    async def _route(self, method: str, path: str, query: str, body: bytes,
                      writer) -> None:
-        path, _, query = target.partition("?")
         if method == "POST" and path == "/v1/jobs":
             if self.draining:
-                await httpio.respond(
-                    writer, 503, {"error": "draining"}
-                )
+                await httpio.respond(writer, 503, {"error": "draining"})
                 return
             await self._forward_submit(body, writer)
             return
@@ -502,10 +422,21 @@ class RouterServer:
             return
         if method == "POST" and path == "/v1/shutdown":
             await httpio.respond(writer, 200, {"status": "draining"})
-            asyncio.ensure_future(self.drain())
+            self.start_drain()
             return
         await httpio.respond(writer, 404, {"error": "unknown_endpoint",
                                            "path": path})
+
+
+async def _relay(writer, shard_id: str, status: int, blob: bytes,
+                 payload) -> None:
+    """Answer with a shard's reply; a job view gets its compound id."""
+    if isinstance(payload, dict) and "job_id" in payload:
+        payload["job_id"] = f"{shard_id}.{payload['job_id']}"
+        payload["shard"] = shard_id
+        await httpio.respond(writer, status, payload)
+    else:
+        await httpio.respond_raw(writer, status, blob)
 
 
 def _maybe_json(blob: bytes):
@@ -666,86 +597,25 @@ class ShardSupervisor:
                 process.wait(timeout=30)
 
 
-async def _amain(config: RouterConfig, shards: "list[Shard]",
-                 announce=None) -> None:
-    router = RouterServer(config, shards)
-    await router.start()
-    host, port = router.address
-    if announce is not None:
-        announce(router, host, port)
-    loop = asyncio.get_running_loop()
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(router.drain())
-            )
-    except (ImportError, NotImplementedError, RuntimeError):
-        pass
-    await router.wait_closed()
-
-
 def run_router(config: RouterConfig, shards: "list[Shard]",
                announce=None) -> int:
     """Run the router until drained (``lif serve --shards N``)."""
-    asyncio.run(_amain(config, shards, announce))
-    return 0
+    return httpio.run_service(lambda: RouterServer(config, shards), announce)
 
 
-class RouterThread:
+class RouterThread(httpio.ServiceThread):
     """An in-process router on a background thread (tests, benchmarks)."""
 
     def __init__(self, config: RouterConfig, shards: "list[Shard]") -> None:
         self.config = config
         self.shards = shards
-        self.router: Optional[RouterServer] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self.host: Optional[str] = None
-        self.port: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        self._ready = threading.Event()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve-router", daemon=True
+        super().__init__(
+            "repro-serve-router", lambda: RouterServer(config, shards)
         )
 
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surfaced by start()
-            self.error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self.router = RouterServer(self.config, self.shards)
-        await self.router.start()
-        self.loop = asyncio.get_running_loop()
-        self.host, self.port = self.router.address
-        self._ready.set()
-        try:
-            await self.router.wait_closed()
-        finally:
-            with self._lock:
-                self._closed = True
-
-    def start(self) -> "RouterThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self.error is not None:
-            raise RuntimeError("router failed to start") from self.error
-        if self.port is None:
-            raise RuntimeError("router did not come up within 60s")
-        return self
-
-    def request_drain(self) -> None:
-        # Once the router has closed, ``asyncio.run`` is closing the loop on
-        # a still-live thread: the router is already drained, and a callback
-        # sent now would hit a closed loop or start a drain never awaited.
-        with self._lock:
-            if self.loop is not None and not self._closed:
-                self.loop.call_soon_threadsafe(
-                    lambda: asyncio.ensure_future(self.router.drain())
-                )
+    @property
+    def router(self) -> Optional[RouterServer]:
+        return self.service
 
     def probe_now(self) -> None:
         """Force an immediate health sweep (tests don't wait the interval)."""
@@ -754,13 +624,3 @@ class RouterThread:
                 self.router.probe_all(), self.loop
             )
             future.result(timeout=30)
-
-    def join(self, timeout: float = 120.0) -> None:
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.request_drain()
-        self.join()

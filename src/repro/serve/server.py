@@ -1,8 +1,9 @@
 """The asyncio front end: intake, back-pressure, durability, streaming, drain.
 
-One process runs a small HTTP/1.1 server (hand-rolled over asyncio
-streams — zero dependencies, shared plumbing in
-:mod:`repro.serve.httpio`) in front of the warm worker pool:
+One process runs a small HTTP/1.1 server in front of the warm worker
+pool.  :class:`RepairServer` adds routes, drain, start-up (journal
+replay, dispatchers) and teardown (pool, journal) to the plumbing it
+shares with the router (:class:`repro.serve.httpio.HTTPService`):
 
 * **Bounded intake.**  Admission is controlled by the number of jobs
   submitted-but-not-finished; past ``REPRO_SERVE_QUEUE`` the server
@@ -37,6 +38,9 @@ streams — zero dependencies, shared plumbing in
   ``lif serve``) stops intake with ``503`` and finishes every in-flight
   job before the process exits; status and result endpoints keep
   answering during the drain.
+* **Client errors are 400s.**  A malformed request, body or
+  ``?timeout=`` is a ``400``; ``?wait=1`` blocks for at most
+  ``ServeConfig.wait_timeout``.
 
 Horizontal scale-out — N of these processes behind the consistent-hash
 router — lives in :mod:`repro.serve.router`.  Endpoints, wire examples
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import time
 from collections import OrderedDict, deque
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.obs import OBS
+from repro.obs import OBS, env_float, env_int
 from repro.serve import httpio
 from repro.serve.cache import ResultCache, default_result_cache
 from repro.serve.faults import (
@@ -93,22 +98,6 @@ def spool_root(environ) -> str:
     return environ.get(SPOOL_ENV_VAR) or os.path.join(
         environ.get("REPRO_CACHE_DIR", ".repro-cache"), "serve-spool"
     )
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
 
 
 def parse_class_weights(text: Optional[str]) -> dict:
@@ -166,15 +155,15 @@ class ServeConfig:
     def from_env(cls, **overrides) -> "ServeConfig":
         config = cls(
             host=os.environ.get(HOST_ENV_VAR, "127.0.0.1"),
-            port=_env_int(PORT_ENV_VAR, DEFAULT_PORT),
-            queue_limit=_env_int(QUEUE_ENV_VAR, DEFAULT_QUEUE_LIMIT),
-            tenant_rps=_env_float(TENANT_RPS_ENV_VAR, 0.0),
+            port=env_int(PORT_ENV_VAR, DEFAULT_PORT, 0, 65535),
+            queue_limit=env_int(QUEUE_ENV_VAR, DEFAULT_QUEUE_LIMIT, 1),
+            tenant_rps=env_float(TENANT_RPS_ENV_VAR, 0.0, 0.0),
             spool_dir=os.environ.get(SPOOL_ENV_VAR) or None,
             journal_path=os.environ.get(JOURNAL_ENV_VAR) or None,
             class_weights=parse_class_weights(
                 os.environ.get(CLASSES_ENV_VAR)
             ),
-            max_retries=_env_int(RETRIES_ENV_VAR, DEFAULT_MAX_RETRIES),
+            max_retries=env_int(RETRIES_ENV_VAR, DEFAULT_MAX_RETRIES, 0),
         )
         for name, value in overrides.items():
             if value is not None:
@@ -226,9 +215,6 @@ class WeightedQueue:
 
     def weight_of(self, cls: str) -> int:
         return max(1, int(self.weights.get(cls, 1)))
-
-    def qsize(self) -> int:
-        return self._size
 
     def put_nowait(self, item, cls: str = DEFAULT_PRIORITY) -> None:
         bucket = self._buckets.get(cls)
@@ -303,11 +289,11 @@ class JobRecord:
 _STOP = object()
 
 
-class RepairServer:
+class RepairServer(httpio.HTTPService):
     """The long-running multi-tenant service in front of ``repro.api``."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.config = config or ServeConfig.from_env()
+        super().__init__(config or ServeConfig.from_env())
         self.pool = WarmPool(self.config.workers, self.config.recycle)
         self.cache: Optional[ResultCache] = (
             default_result_cache() if self.config.use_cache else None
@@ -317,30 +303,19 @@ class RepairServer:
         self.by_key: dict[str, str] = {}  # in-flight key -> job_id
         self.queue = WeightedQueue(self.config.class_weights)
         self.buckets: dict[str, TokenBucket] = {}
-        self.counters: dict[str, int] = {}
         self.tenant_jobs: dict[str, int] = {}
         self.pending = 0  # submitted but not finished (queued + running)
         self.running = 0
         self.peak_in_flight = 0
-        self.draining = False
         self.faults = FaultPlan.from_env()
         self.journal: Optional[JobJournal] = None
-        self._active_connections = 0
-        self._drained = asyncio.Event()
         self._seq = 0
         self._journal_seq = 0
         self._dispatch_seq = 0
         self._response_seq = 0
-        self._server: Optional[asyncio.AbstractServer] = None
         self._dispatchers: list = []
-        self.started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def address(self) -> tuple:
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
 
     async def start(self) -> None:
         self.spool_dir.mkdir(parents=True, exist_ok=True)
@@ -349,25 +324,19 @@ class RepairServer:
             self.journal.append_fault = make_torn_append_fault(self.faults)
             for record in self.journal.recover():
                 self._replay(record)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await super().start()
         self._dispatchers = [
             asyncio.create_task(self._dispatcher())
             for _ in range(max(1, self.pool.slots))
         ]
 
-    async def wait_closed(self) -> None:
-        """Block until a drain completes, then tear everything down."""
-        await self._drained.wait()
+    async def _teardown(self) -> None:
         deadline = time.monotonic() + max(0.0, self.config.drain_grace)
         while self._active_connections > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         for _ in self._dispatchers:
             self.queue.put_control(_STOP)
         await asyncio.gather(*self._dispatchers, return_exceptions=True)
-        self._server.close()
-        await self._server.wait_closed()
         self.pool.shutdown(wait=True)
         if self.journal is not None:
             self.journal.close()
@@ -622,11 +591,6 @@ class RepairServer:
             bucket = self.buckets[tenant] = TokenBucket(rate, 2 * rate)
         return bucket.take()
 
-    def _count(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-        if OBS.enabled:
-            OBS.counter(name, value)
-
     def _append_event(self, record: JobRecord, event: dict) -> None:
         if record.events_path is None:
             return
@@ -667,40 +631,10 @@ class RepairServer:
             "warm_modules": warm_module_stats(),
         }
 
-    # -- HTTP plumbing -------------------------------------------------------
+    # -- routes --------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._active_connections += 1
-        try:
-            request = await httpio.read_request(reader)
-            if request is None:
-                return
-            method, target, body = request
-            await self._route(method, target, body, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except ProtocolError as exc:
-            await self._respond(writer, 400, {"error": "bad_request",
-                                              "detail": str(exc)})
-        except Exception as exc:  # never kill the accept loop
-            self._count("serve.internal_errors")
-            try:
-                await self._respond(
-                    writer, 500,
-                    {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"},
-                )
-            except OSError:
-                pass
-        finally:
-            self._active_connections -= 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _route(self, method: str, target: str, body: bytes, writer):
-        path, _, query = target.partition("?")
+    async def _route(self, method: str, path: str, query: str, body: bytes,
+                     writer) -> None:
         params = httpio.parse_query(query)
         if method == "POST" and path == "/v1/jobs":
             status, payload = self._submit(decode_json(body))
@@ -717,70 +651,77 @@ class RepairServer:
             if status == 429:
                 extra = (("Retry-After", str(max(1, int(payload.get(
                     "retry_after", 1) + 0.999)))),)
-            await self._respond(writer, status, payload, extra_headers=extra)
+            await httpio.respond(writer, status, payload, extra_headers=extra)
             return
         if method == "POST" and path == "/v1/shutdown":
             pending = self.pending
             await self.drain()
-            await self._respond(
+            await httpio.respond(
                 writer, 200, {"status": "draining", "pending": pending}
             )
             return
         if method == "GET" and path == "/v1/healthz":
-            await self._respond(
+            await httpio.respond(
                 writer, 200,
                 {"status": "draining" if self.draining else "ok"},
             )
             return
         if method == "GET" and path == "/v1/stats":
-            await self._respond(writer, 200, self.stats())
+            await httpio.respond(writer, 200, self.stats())
             return
         if method == "GET" and path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
             job_id, _, sub = rest.partition("/")
             record = self.jobs.get(job_id)
             if record is None:
-                await self._respond(
+                await httpio.respond(
                     writer, 404, {"error": "unknown_job", "job_id": job_id}
                 )
                 return
             if sub == "":
-                if params.get("wait") == "1" and record.result is None \
+                timeout = self._wait_timeout(params)
+                if timeout is not None and record.result is None \
                         and record.status not in ("done", "failed"):
-                    timeout = float(
-                        params.get("timeout", self.config.wait_timeout)
-                    )
                     try:
                         await asyncio.wait_for(
                             record.finished_event.wait(), timeout
                         )
                     except asyncio.TimeoutError:
                         pass
-                await self._respond(writer, 200, record.public())
+                await httpio.respond(writer, 200, record.public())
                 return
             if sub == "result":
                 if record.result is None:
-                    await self._respond(
+                    await httpio.respond(
                         writer, 404,
                         {"error": "not_done", "status": record.status},
                     )
                     return
-                await self._respond_raw(writer, 200, record.result)
+                await httpio.respond_raw(writer, 200, record.result)
                 return
             if sub == "events":
                 await self._stream_events(writer, record)
                 return
-        await self._respond(writer, 404, {"error": "unknown_endpoint",
-                                          "path": path})
+        await httpio.respond(writer, 404, {"error": "unknown_endpoint",
+                                           "path": path})
+
+    def _wait_timeout(self, params: dict) -> Optional[float]:
+        """Seconds a ``?wait=1`` request blocks, at most ``wait_timeout``."""
+        if params.get("wait") != "1":
+            return None
+        try:
+            timeout = float(params.get("timeout", self.config.wait_timeout))
+        except ValueError:
+            timeout = math.nan
+        if math.isnan(timeout):
+            raise ProtocolError(
+                f"timeout must be a number, got {params['timeout']!r}"
+            )
+        return min(max(timeout, 0.0), self.config.wait_timeout)
 
     async def _stream_events(self, writer, record: JobRecord) -> None:
         """Tail the job's JSONL spool until the job finishes."""
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
+        writer.write(httpio.response_head(200, "application/x-ndjson"))
         await writer.drain()
         offset = 0
         while True:
@@ -800,45 +741,17 @@ class RepairServer:
                     offset += cut
             elif record.finished_event.is_set():
                 return
-            if record.finished_event.is_set() and not chunk:
-                return
             await asyncio.sleep(0.02)
-
-    async def _respond(self, writer, status: int, payload: dict,
-                       extra_headers=()) -> None:
-        await httpio.respond(writer, status, payload, extra_headers)
-
-    async def _respond_raw(self, writer, status: int, body: bytes,
-                           extra_headers=()) -> None:
-        await httpio.respond_raw(writer, status, body, extra_headers)
-
-
-async def _amain(config: ServeConfig, announce=None) -> None:
-    server = RepairServer(config)
-    await server.start()
-    host, port = server.address
-    if announce is not None:
-        announce(server, host, port)
-    loop = asyncio.get_running_loop()
-    try:
-        import signal
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(server.drain())
-            )
-    except (ImportError, NotImplementedError, RuntimeError):
-        pass
-    await server.wait_closed()
 
 
 def run_server(config: Optional[ServeConfig] = None, announce=None) -> int:
     """Run the service until drained (what ``lif serve`` does)."""
-    asyncio.run(_amain(config or ServeConfig.from_env(), announce))
-    return 0
+    return httpio.run_service(
+        lambda: RepairServer(config or ServeConfig.from_env()), announce
+    )
 
 
-class ServerThread:
+class ServerThread(httpio.ServiceThread):
     """An in-process server on a background thread (tests, benchmarks).
 
     Context-manager use drains the server on exit, so in-flight jobs
@@ -850,65 +763,9 @@ class ServerThread:
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        import threading
-
         self.config = config or ServeConfig.from_env()
-        self.server: Optional[RepairServer] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self.host: Optional[str] = None
-        self.port: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        self._ready = threading.Event()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve", daemon=True
-        )
+        super().__init__("repro-serve", lambda: RepairServer(self.config))
 
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surfaced by start()
-            self.error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self.server = RepairServer(self.config)
-        await self.server.start()
-        self.loop = asyncio.get_running_loop()
-        self.host, self.port = self.server.address
-        self._ready.set()
-        try:
-            await self.server.wait_closed()
-        finally:
-            with self._lock:
-                self._closed = True
-
-    def start(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self.error is not None:
-            raise RuntimeError("server failed to start") from self.error
-        if self.port is None:
-            raise RuntimeError("server did not come up within 60s")
-        return self
-
-    def request_drain(self) -> None:
-        # Once the server has closed, ``asyncio.run`` is closing the loop on
-        # a still-live thread: the server is already drained, and a callback
-        # sent now would hit a closed loop or start a drain never awaited.
-        with self._lock:
-            if self.loop is not None and not self._closed:
-                self.loop.call_soon_threadsafe(
-                    lambda: asyncio.ensure_future(self.server.drain())
-                )
-
-    def join(self, timeout: float = 120.0) -> None:
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.request_drain()
-        self.join()
+    @property
+    def server(self) -> Optional[RepairServer]:
+        return self.service

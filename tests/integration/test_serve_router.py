@@ -6,7 +6,9 @@ affinity, per-shard draining, and failover to live shards.
 """
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -259,4 +261,76 @@ def test_drain_request_after_shutdown_is_a_noop(isolated_cache):
     finally:
         for handle, (_, release) in zip(handles, held):
             release.set()
+            handle.join()
+
+
+def _raw_request(port, request: bytes):
+    """Send ``request`` verbatim; returns (status, decoded JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _internal_errors(stats):
+    """``*internal_errors`` counters of a front end and of its shards."""
+    views = [stats] + list((stats.get("shard_stats") or {}).values())
+    return sum(
+        value for view in views
+        for name, value in view["counters"].items()
+        if name.endswith("internal_errors")
+    )
+
+
+@pytest.mark.parametrize("front", ["server", "router"])
+def test_malformed_client_input_is_a_400(front, isolated_cache, monkeypatch):
+    # The first job dispatched sleeps 3 s, so it is still running below.
+    monkeypatch.setenv("REPRO_SERVE_FAULTS", "slow@1:3")
+    backend = ServerThread(
+        ServeConfig.from_env(port=0, workers=0, wait_timeout=0.3)
+    ).start()
+    handles = [backend]
+    if front == "router":
+        handles.insert(0, RouterThread(
+            RouterConfig(port=0, health_interval=0.2),
+            [Shard("s0", backend.host, backend.port)],
+        ).start())
+    port = handles[0].port
+    try:
+        for length in (b"abc", b"-5"):
+            status, payload = _raw_request(
+                port,
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + length
+                + b"\r\n\r\n{}",
+            )
+            assert (status, payload["error"]) == (400, "bad_request")
+            assert "Content-Length" in payload["detail"]
+        client = ServeClient("127.0.0.1", port)
+        job_id = client.submit(_variant(0))["job_id"]
+        status, payload = _raw_request(
+            port,
+            f"GET /v1/jobs/{job_id}?wait=1&timeout=abc HTTP/1.1\r\n\r\n"
+            .encode(),
+        )
+        assert (status, payload["error"]) == (400, "bad_request")
+        # The server's wait_timeout (0.3 s) bounds a longer ?timeout=.
+        started = time.monotonic()
+        status, view = _raw_request(
+            port,
+            f"GET /v1/jobs/{job_id}?wait=1&timeout=600 HTTP/1.1\r\n\r\n"
+            .encode(),
+        )
+        assert time.monotonic() - started < 2.5
+        assert status == 200 and view["status"] in ("queued", "running")
+        assert client.wait(job_id, timeout=120)["status"] == "done"
+        assert _internal_errors(client.stats()) == 0
+    finally:
+        for handle in handles:
+            handle.request_drain()
             handle.join()

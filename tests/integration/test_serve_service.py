@@ -8,6 +8,7 @@ serve`` / ``lif submit`` CLI in subprocesses.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -314,6 +315,32 @@ def test_cli_serve_and_submit_subprocess(isolated_cache, tmp_path):
         assert shutdown["status"] == "draining"
         server.wait(timeout=60)
         assert server.returncode == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+
+
+@pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
+                         ids=["single", "sharded"])
+def test_cli_serve_drains_and_exits_0_on_sigterm(extra, isolated_cache):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", *extra,
+         "--workers", "0", "--port", "0"],
+        env=env, cwd=isolated_cache, stderr=subprocess.PIPE, text=True,
+    )
+    marker = "router listening on http://" if extra else "listening on http://"
+    try:
+        for line in server.stderr:
+            if marker in line:
+                break
+        else:
+            pytest.fail(f"no announce line; exit {server.wait(timeout=60)}")
+        # Signalled the moment it announces: the handler must already be in.
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=60) == 0
     finally:
         if server.poll() is None:
             server.kill()

@@ -16,10 +16,12 @@ def test_shard_width_env_knob(monkeypatch):
     assert shard_width_from_env() == DEFAULT_SHARD_WIDTH
     monkeypatch.setenv(SHARD_ENV_VAR, "3")
     assert shard_width_from_env() == 3
-    monkeypatch.setenv(SHARD_ENV_VAR, "99")
-    assert shard_width_from_env() == 8  # clamped
-    monkeypatch.setenv(SHARD_ENV_VAR, "junk")
-    assert shard_width_from_env() == DEFAULT_SHARD_WIDTH
+    monkeypatch.setenv(SHARD_ENV_VAR, "8")
+    assert shard_width_from_env() == 8
+    for junk in ("99", "-1", "junk"):  # out of range or malformed: raise
+        monkeypatch.setenv(SHARD_ENV_VAR, junk)
+        with pytest.raises(ValueError, match=SHARD_ENV_VAR):
+            shard_width_from_env()
 
 
 def test_result_cache_layout_and_round_trip(tmp_path):
