@@ -123,12 +123,12 @@ def _rename(name: str, mapping: Substitution) -> str:
     return name
 
 
-def _declared_names(statements: tuple[ast.Statement, ...]) -> set[str]:
-    """All names declared anywhere inside a statement list."""
-    declared: set[str] = set()
+def _declared_names(statements: tuple[ast.Statement, ...]) -> dict[str, None]:
+    """Names declared anywhere in a statement list, in declaration order."""
+    declared: dict[str, None] = {}
     for statement in statements:
         if isinstance(statement, (ast.Decl, ast.ArrayDecl)):
-            declared.add(statement.name)
+            declared[statement.name] = None
         elif isinstance(statement, ast.If):
             declared |= _declared_names(statement.then_body)
             declared |= _declared_names(statement.else_body)

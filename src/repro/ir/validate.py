@@ -12,7 +12,8 @@ path — no list building), while ``diagnose_function`` / ``diagnose_module``
 collect every finding for ``lif lint``.  :class:`ValidationError` stays a
 ``ValueError`` subclass and carries the triggering
 :class:`~repro.statics.diagnostics.Diagnostic` on its ``diagnostic``
-attribute.
+attribute.  Valid IR renders nothing: a check formats an instruction or
+builds an :class:`~repro.statics.diagnostics.Anchor` only once it emits.
 """
 
 from __future__ import annotations
@@ -140,11 +141,17 @@ def _check_phi_placement(
 ) -> None:
     for block in function.blocks.values():
         expected = preds[block.label]
+        expected_set = set(expected)
         seen_non_phi = False
         for index, instr in enumerate(block.instructions):
             if not isinstance(instr, Phi):
                 seen_non_phi = True
                 continue
+            incoming = [label for _, label in instr.incomings]
+            labels = set(incoming)
+            unique = len(labels) == len(incoming)
+            if unique and labels == expected_set and not seen_non_phi:
+                continue  # a well-formed phi renders nothing
             anchor = Anchor(function.name, block.label, index, str(instr))
             if seen_non_phi:
                 sink.emit(
@@ -159,13 +166,12 @@ def _check_phi_placement(
                         fixit="move the phi above every non-phi instruction",
                     )
                 )
-            incoming = [label for _, label in instr.incomings]
             prefix = (
                 f"@{function.name}:{block.label}: phi {instr.dest} incomings "
                 f"{sorted(incoming)} do not match predecessors "
                 f"{sorted(expected)}"
             )
-            for label in sorted(set(incoming)):
+            for label in sorted(labels):
                 if incoming.count(label) > 1:
                     sink.emit(
                         Diagnostic(
@@ -179,7 +185,7 @@ def _check_phi_placement(
                             fixit=f"keep a single incoming for {label}",
                         )
                     )
-            for label in sorted(set(expected) - set(incoming)):
+            for label in sorted(expected_set - labels):
                 sink.emit(
                     Diagnostic(
                         rule="IR-PHI-PRED-MISSING",
@@ -189,7 +195,7 @@ def _check_phi_placement(
                         fixit=f"add an incoming value for predecessor {label}",
                     )
                 )
-            for label in sorted(set(incoming) - set(expected)):
+            for label in sorted(labels - expected_set):
                 sink.emit(
                     Diagnostic(
                         rule="IR-PHI-PRED-EXTRA",
@@ -274,53 +280,44 @@ def _check_dominance(
     domtree = compute_dominators(function)
 
     def check_use(
-        var: str, use_block: str, use_index: int, what: str, anchor: Anchor
+        var: str, use_block: str, use_index: int, label: str, index: int, instr
     ) -> None:
+        """Check one use of ``var`` by ``instr`` (``index`` -1: terminator)."""
         if var not in definitions:
-            sink.emit(
-                Diagnostic(
-                    rule="IR-SSA-UNDEF",
-                    severity="error",
-                    message=(
-                        f"@{function.name}:{use_block}: {what} uses "
-                        f"undefined variable {var}"
-                    ),
-                    anchor=anchor,
-                )
-            )
-            return
-        def_block, def_index = definitions[var]
-        if use_block not in reachable:
+            if isinstance(instr, Phi):
+                what = f"phi {instr.dest}"
+            else:
+                what = "terminator" if index == -1 else str(instr)
+            rule = "IR-SSA-UNDEF"
+            finding = f"{what} uses undefined variable {var}"
+        elif use_block not in reachable:
             return  # uses in dead code are not constrained
-        if def_block == use_block:
-            if def_index >= use_index:
-                sink.emit(
-                    Diagnostic(
-                        rule="IR-SSA-DOM",
-                        severity="error",
-                        message=(
-                            f"@{function.name}:{use_block}: {var} used "
-                            "before its definition"
-                        ),
-                        anchor=anchor,
-                    )
+        else:
+            def_block, def_index = definitions[var]
+            if def_block == use_block:
+                if def_index < use_index:
+                    return
+                finding = f"{var} used before its definition"
+            elif domtree.dominates(def_block, use_block):
+                return
+            else:
+                finding = (
+                    f"definition of {var} in {def_block} does not dominate "
+                    "this use"
                 )
-        elif not domtree.dominates(def_block, use_block):
-            sink.emit(
-                Diagnostic(
-                    rule="IR-SSA-DOM",
-                    severity="error",
-                    message=(
-                        f"@{function.name}:{use_block}: definition of {var} "
-                        f"in {def_block} does not dominate this use"
-                    ),
-                    anchor=anchor,
-                )
+            rule = "IR-SSA-DOM"
+        sink.emit(
+            Diagnostic(
+                rule=rule,
+                severity="error",
+                message=f"@{function.name}:{use_block}: {finding}",
+                anchor=Anchor(function.name, label, index, str(instr)),
             )
+        )
 
     for block in function.blocks.values():
+        label = block.label
         for index, instr in enumerate(block.instructions):
-            anchor = Anchor(function.name, block.label, index, str(instr))
             if isinstance(instr, Phi):
                 # A phi use must be available at the end of the matching
                 # predecessor, not at the phi itself.
@@ -334,17 +331,18 @@ def _check_dominance(
                         value.name,
                         pred_label,
                         len(pred_block.instructions),
-                        f"phi {instr.dest}",
-                        anchor,
+                        label,
+                        index,
+                        instr,
                     )
             else:
                 for var in instr.used_vars():
-                    check_use(var, block.label, index, str(instr), anchor)
-        assert block.terminator is not None
-        anchor = Anchor(function.name, block.label, -1, str(block.terminator))
-        for var in block.terminator.used_vars():
+                    check_use(var, label, index, label, index, instr)
+        terminator = block.terminator
+        assert terminator is not None
+        for var in terminator.used_vars():
             check_use(
-                var, block.label, len(block.instructions), "terminator", anchor
+                var, label, len(block.instructions), label, -1, terminator
             )
 
 
@@ -354,7 +352,6 @@ def _check_calls(
     for label, instr in function.iter_instructions():
         if not isinstance(instr, Call):
             continue
-        anchor = Anchor(function.name, label, None, str(instr))
         callee = module.functions.get(instr.callee)
         if callee is None:
             sink.emit(
@@ -365,7 +362,7 @@ def _check_calls(
                         f"@{function.name}:{label}: call to undefined "
                         f"function @{instr.callee}"
                     ),
-                    anchor=anchor,
+                    anchor=Anchor(function.name, label, None, str(instr)),
                 )
             )
         elif len(instr.args) != len(callee.params):
@@ -378,6 +375,6 @@ def _check_calls(
                         f"passes {len(instr.args)} arguments, expected "
                         f"{len(callee.params)}"
                     ),
-                    anchor=anchor,
+                    anchor=Anchor(function.name, label, None, str(instr)),
                 )
             )

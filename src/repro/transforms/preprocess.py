@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.ir.cfg import is_acyclic, remove_unreachable_blocks
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.validate import validate_function, validate_module
+from repro.ir.validate import validate_function
 from repro.transforms.single_return import ensure_single_return
 
 
@@ -50,12 +50,15 @@ def preprocess_function(function: Function, module: Module) -> PreprocessReport:
 
 
 def preprocess_module(module: Module) -> dict[str, PreprocessReport]:
-    """Canonicalise every function; also rejects recursive call graphs."""
+    """Canonicalise every function; also rejects recursive call graphs.
+
+    Each function is validated once, in :func:`preprocess_function`; that
+    verdict reads only globals and callee arities, which no rewrite changes.
+    """
     _reject_recursion(module)
     reports = {}
     for function in module.functions.values():
         reports[function.name] = preprocess_function(function, module)
-    validate_module(module)
     return reports
 
 

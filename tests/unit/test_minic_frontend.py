@@ -1,5 +1,10 @@
 """MiniC lexer, parser, and unroller."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.frontend import (
@@ -95,6 +100,22 @@ class TestParser:
 class TestUnroller:
     def unrolled(self, text: str):
         return unroll_program(parse_source(text)).functions[0].body
+
+    def test_loop_local_names_ignore_the_hash_seed(self):
+        # Each unrolled copy renames the body's locals in declaration order;
+        # a set-ordered numbering made `lif compile` depend on the seed.
+        root = Path(__file__).resolve().parents[2]
+        fixture = root / "tests" / "fixtures" / "loop_locals.mc"
+        outputs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = str(root / "src")
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "compile", str(fixture)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
 
     def test_simple_loop_expands(self):
         body = self.unrolled("""
