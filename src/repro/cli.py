@@ -480,8 +480,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         import os
 
         os.environ["REPRO_BACKEND"] = args.backend
-    if args.shards and args.shards > 0:
-        return _run_sharded(args)
+    # Read every shard knob before anything starts, so a malformed one
+    # (REPRO_SERVE_WARM included) stops the command before it announces.
     config = ServeConfig.from_env(
         host=args.host,
         port=args.port,
@@ -497,6 +497,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         max_retries=args.retries,
     )
+    if args.shards and args.shards > 0:
+        return _run_sharded(args)
 
     def announce(server, host, port):
         pool = server.pool.stats()

@@ -37,15 +37,19 @@ import threading
 import time
 from typing import Optional
 
-#: Enables collection when set to anything but ``0``/empty.
+#: Enables collection when set to an on word (``1``/``yes``/``true``/``on``).
 TRACE_ENV_VAR = "REPRO_TRACE"
 #: JSONL event sink path; setting it implies tracing.
 TRACE_FILE_ENV_VAR = "REPRO_TRACE_FILE"
 
 
-def env_flag(name: str, default: bool) -> bool:
-    """A boolean knob; anything but an on/off word raises naming the knob."""
-    raw = os.environ.get(name, "").strip().lower()
+def env_flag(name: str, default: bool, environ=None) -> bool:
+    """A boolean knob; anything but an on/off word raises naming the knob.
+
+    ``environ`` is the mapping to read (default ``os.environ``).
+    """
+    environ = os.environ if environ is None else environ
+    raw = environ.get(name, "").strip().lower()
     if not raw:
         return default
     if raw in ("1", "yes", "true", "on"):
@@ -196,7 +200,7 @@ class Collector:
         """Build a collector from ``REPRO_TRACE``/``REPRO_TRACE_FILE``."""
         environ = os.environ if environ is None else environ
         trace_file = environ.get(TRACE_FILE_ENV_VAR) or None
-        enabled = environ.get(TRACE_ENV_VAR, "0") not in ("", "0")
+        enabled = env_flag(TRACE_ENV_VAR, False, environ)
         return cls(enabled=enabled, trace_file=trace_file)
 
     # -- recording -----------------------------------------------------------

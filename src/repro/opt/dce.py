@@ -9,51 +9,48 @@ calls are never removed: stores are observable, and callees may store.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.ir.function import Function
-from repro.ir.instructions import Alloc, Call, CtSel, Load, Mov, Phi, Store
-
+from repro.ir.instructions import Alloc, CtSel, Load, Mov, Phi
 
 _REMOVABLE = (Mov, CtSel, Phi, Alloc, Load)
 
 
 def eliminate_dead_code(function: Function) -> bool:
-    """Iteratively drop unused pure definitions, in place.
+    """One mark-and-sweep over the function, in place.
 
-    Use counts are computed once and maintained incrementally as definitions
-    are removed, so cascading removals don't re-scan the whole function to
-    rebuild the used-variable set on every round.
+    Marking starts from what every non-removable instruction and every
+    terminator reads and follows removable definitions to their operands;
+    the sweep drops each removable definition left unmarked.  A dead cycle
+    (a loop phi feeding only itself) is never marked, so it falls too.
     """
-    use_counts: Counter[str] = Counter()
+    definitions: dict[str, object] = {}
+    pending: list[str] = []
     for block in function.blocks.values():
         for instr in block.instructions:
-            use_counts.update(instr.used_vars())
+            if isinstance(instr, _REMOVABLE):
+                definitions[instr.dest] = instr
+            else:
+                pending.extend(instr.used_vars())
         if block.terminator is not None:
-            use_counts.update(block.terminator.used_vars())
+            pending.extend(block.terminator.used_vars())
 
-    # Sweeping bottom-up lets a whole def-use chain fall in one round: the
-    # dead use goes first, zeroing its operands' counts before they are
-    # visited.  The loop still runs to fixpoint for cross-block chains
-    # against the block order.
-    changed = False
-    while True:
-        removed_any = False
-        for block in reversed(function.blocks.values()):
-            kept = []
-            for instr in reversed(block.instructions):
-                if (
-                    isinstance(instr, _REMOVABLE)
-                    and instr.dest is not None
-                    and not use_counts[instr.dest]
-                ):
-                    for name in instr.used_vars():
-                        use_counts[name] -= 1
-                    removed_any = True
-                    continue
-                kept.append(instr)
-            kept.reverse()
+    live: set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name not in live:
+            live.add(name)
+            instr = definitions.get(name)
+            if instr is not None:
+                pending.extend(instr.used_vars())
+
+    if live.issuperset(definitions):
+        return False
+    for block in function.blocks.values():
+        kept = [
+            instr
+            for instr in block.instructions
+            if instr.dest in live or not isinstance(instr, _REMOVABLE)
+        ]
+        if len(kept) != len(block.instructions):
             block.instructions = kept
-        if not removed_any:
-            return changed
-        changed = True
+    return True

@@ -5,11 +5,16 @@ and -Oz; this pipeline is a single cleanup level run to fixpoint, which is
 what those levels have in common for the straight-line integer code the
 repair produces.
 
+Three passes: ``simplifycfg`` (run first, and again only once a branch
+condition has folded to a constant), the combined ``simplify`` walk
+(:mod:`repro.opt.simplify`) and one mark-and-sweep ``dce``.  The loop
+repeats until no pass fires, which is usually its second round.
+
 Per-pass telemetry — wall time, instructions eliminated, fixpoint
-iteration counts — is recorded into an :class:`OptReport` when one is
-passed (the artifact builder persists it per benchmark) and mirrored to
-``repro.obs`` counters/timers when tracing is enabled
-(``docs/OBSERVABILITY.md``).
+iteration counts, rewrites per simplify rule — is recorded into an
+:class:`OptReport` when one is passed (the artifact builder persists it
+per benchmark) and mirrored to ``repro.obs`` counters/timers when tracing
+is enabled (``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -18,45 +23,39 @@ import time
 from dataclasses import dataclass, field
 
 from repro.ir.function import Function
+from repro.ir.instructions import Br
 from repro.ir.module import Module
 from repro.ir.validate import validate_module
+from repro.ir.values import Const
 from repro.obs import OBS, env_flag
-from repro.opt.sanitize import LeakFingerprint, check_pass, sanitize_enabled
-from repro.opt.constfold import constant_fold
-from repro.opt.copyprop import propagate_copies
-from repro.opt.cse import cse_scope, eliminate_common_subexpressions
 from repro.opt.dce import eliminate_dead_code
-from repro.opt.simplify import simplify_algebraic
+from repro.opt.sanitize import LeakFingerprint, check_pass, sanitize_enabled
+from repro.opt.simplify import simplify_ssa
 from repro.opt.simplifycfg import simplify_cfg
 
 #: Name and implementation of each pass, in pipeline order.
 PASSES: tuple[tuple[str, object], ...] = (
     ("simplifycfg", simplify_cfg),
-    ("constfold", constant_fold),
-    ("simplify", simplify_algebraic),
-    ("copyprop", propagate_copies),
-    ("cse", eliminate_common_subexpressions),
+    ("simplify", simplify_ssa),
     ("dce", eliminate_dead_code),
 )
 
+#: Pipeline rounds per function before the loop gives up on a fixpoint
+#: (counted as ``opt.fixpoint_capped``; the pipeline passes need two).
 _MAX_ITERATIONS = 6
 
 
 @dataclass
 class OptReport:
-    """Per-function and per-pass telemetry of one or more ``optimize`` calls.
+    """Per-pass telemetry of one or more ``optimize`` calls.
 
-    ``iterations``/``fired`` record, per function, how many passes fired
-    and which (the pre-observability fields).  The ``pass_*`` maps
-    aggregate across every function and call that shared this report:
-    wall-clock seconds, number of times the pass reported a change, and
-    net instructions eliminated (negative means the pass grew the code).
-    ``fixpoint_iterations`` counts pipeline round-trips, ``functions`` the
-    functions optimised.
+    The ``pass_*`` maps aggregate across every function and call that
+    shared this report: wall-clock seconds, number of times the pass
+    reported a change, and net instructions eliminated (negative means the
+    pass grew the code).  ``fixpoint_iterations`` counts pipeline
+    round-trips, ``functions`` the functions optimised.
     """
 
-    iterations: dict[str, int] = field(default_factory=dict)
-    fired: dict[str, list[str]] = field(default_factory=dict)
     pass_seconds: dict[str, float] = field(default_factory=dict)
     pass_fired: dict[str, int] = field(default_factory=dict)
     pass_eliminated: dict[str, int] = field(default_factory=dict)
@@ -72,6 +71,13 @@ class OptReport:
             "fixpoint_iterations": self.fixpoint_iterations,
             "functions": self.functions,
         }
+
+
+def _has_constant_branch(function: Function) -> bool:
+    return any(
+        type(block.terminator) is Br and type(block.terminator.cond) is Const
+        for block in function.blocks.values()
+    )
 
 
 def optimize_function(
@@ -100,25 +106,24 @@ def optimize_function(
         fingerprint = LeakFingerprint.of(function, module, summaries)
     fired: list[str] = []
     collecting = report is not None or OBS.enabled
+    rules: dict[str, int] = {}
     iterations = 0
-    # Of the pipeline passes only simplifycfg rewires CFG edges, so the
-    # dominator tree CSE walks stays valid across iterations until it fires.
-    scope = None
     for _ in range(_MAX_ITERATIONS):
         changed = False
         iterations += 1
         for name, pass_fn in passes:
+            # Only a folded branch condition gives simplifycfg new work:
+            # the other passes never rewire an edge.
+            if name == "simplifycfg" and iterations > 1 \
+                    and not _has_constant_branch(function):
+                continue
             if collecting:
                 size_before = function.instruction_count()
                 started = time.perf_counter()
-            if name == "cse":
-                if scope is None:
-                    scope = cse_scope(function)
-                did_change = eliminate_common_subexpressions(function, scope)
+            if pass_fn is simplify_ssa:
+                did_change = simplify_ssa(function, rules)
             else:
                 did_change = pass_fn(function)
-                if did_change and name == "simplifycfg":
-                    scope = None
             if collecting:
                 elapsed = time.perf_counter() - started
                 eliminated = size_before - function.instruction_count()
@@ -147,12 +152,18 @@ def optimize_function(
                 changed = True
         if not changed:
             break
+    else:
+        if OBS.enabled:
+            OBS.counter("opt.fixpoint_capped")
+            OBS.event("opt.fixpoint_capped", function=function.name)
     if report is not None:
         report.fixpoint_iterations += iterations
         report.functions += 1
     if OBS.enabled:
         OBS.counter("opt.fixpoint_iterations", iterations)
         OBS.counter("opt.functions")
+        for rule, count in rules.items():
+            OBS.counter(f"opt.pass.simplify.{rule}", count)
     return fired
 
 
@@ -184,12 +195,7 @@ def optimize(
         sanitize = sanitize_enabled()
     with OBS.span("opt.optimize", module=module.name):
         for function in result.functions.values():
-            fired = optimize_function(
-                function, report, sanitize=sanitize, module=result
-            )
-            if report is not None:
-                report.fired[function.name] = fired
-                report.iterations[function.name] = len(fired)
+            optimize_function(function, report, sanitize=sanitize, module=result)
     if validate if validate is not None else _default_validate():
         validate_module(result)
     return result

@@ -28,6 +28,8 @@ from repro.serve.protocol import JobSpec, encode_json
 #: Parsed/repaired modules kept warm per worker (``REPRO_SERVE_WARM``).
 WARM_ENV_VAR = "REPRO_SERVE_WARM"
 DEFAULT_WARM_MODULES = 32
+#: This process's memo bound; the pool sets it from the server's config.
+_WARM_LIMIT = DEFAULT_WARM_MODULES
 
 #: ``(source, name, optimize) -> (module, repaired)`` — worker-local.
 _WARM_LOCK = Lock()
@@ -63,12 +65,22 @@ def prepared_modules(source: str, name: str, optimize: bool):
     return entry
 
 
+def warm_limit_from_env() -> int:
+    """``REPRO_SERVE_WARM``, read once when the server starts."""
+    return env_int(WARM_ENV_VAR, DEFAULT_WARM_MODULES, 1)
+
+
+def set_warm_limit(limit: int) -> None:
+    """Bound this process's warm memo to ``limit`` modules."""
+    global _WARM_LIMIT
+    _WARM_LIMIT = limit
+
+
 def _remember(key, entry) -> None:
     with _WARM_LOCK:
         _WARM_MODULES[key] = entry
         _WARM_MODULES.move_to_end(key)
-        limit = env_int(WARM_ENV_VAR, DEFAULT_WARM_MODULES, 1)
-        while len(_WARM_MODULES) > limit:
+        while len(_WARM_MODULES) > _WARM_LIMIT:
             _WARM_MODULES.popitem(last=False)
             _WARM_STATS["evictions"] += 1
             if OBS.enabled:

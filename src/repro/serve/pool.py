@@ -30,7 +30,12 @@ from typing import Optional
 
 from repro.obs import env_int
 from repro.serve.faults import apply_worker_fault
-from repro.serve.jobs import canonical_result_bytes, execute_job
+from repro.serve.jobs import (
+    DEFAULT_WARM_MODULES,
+    canonical_result_bytes,
+    execute_job,
+    set_warm_limit,
+)
 from repro.serve.protocol import JobSpec
 
 WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
@@ -45,8 +50,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(0, workers)
 
 
-def _worker_init() -> None:
-    """Pre-import the pipeline so a recycled worker's first job is warm."""
+def _worker_init(warm_modules: int) -> None:
+    """Bound the warm memo and pre-import the pipeline, so a recycled
+    worker's first job is warm."""
+    set_warm_limit(warm_modules)
     import repro.core.repair  # noqa: F401
     import repro.exec  # noqa: F401
     import repro.frontend  # noqa: F401
@@ -93,8 +100,10 @@ class WarmPool:
         self,
         workers: Optional[int] = None,
         recycle: Optional[int] = None,
+        warm_modules: int = DEFAULT_WARM_MODULES,
     ) -> None:
         self.workers = resolve_workers(workers)
+        self.warm_modules = warm_modules
         self.recycle = (
             env_int(RECYCLE_ENV_VAR, DEFAULT_RECYCLE, 0)
             if recycle is None
@@ -105,6 +114,7 @@ class WarmPool:
             self.mode = "thread"
             self.slots = 1
             self._job = _thread_job
+            set_warm_limit(warm_modules)
         else:
             self.mode = "process"
             self.slots = self.workers
@@ -116,7 +126,9 @@ class WarmPool:
             return ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="serve-worker"
             )
-        kwargs: dict = {"initializer": _worker_init}
+        kwargs: dict = {
+            "initializer": _worker_init, "initargs": (self.warm_modules,),
+        }
         if self.recycle > 0:
             # max_tasks_per_child implies the spawn start method.
             kwargs["max_tasks_per_child"] = self.recycle

@@ -69,6 +69,7 @@ from repro.serve.faults import (
     worker_fault_token,
 )
 from repro.serve.journal import JobJournal
+from repro.serve.jobs import DEFAULT_WARM_MODULES, warm_limit_from_env
 from repro.serve.pool import WarmPool
 from repro.serve.protocol import (
     DEFAULT_PRIORITY,
@@ -144,6 +145,8 @@ class ServeConfig:
     class_weights: dict = field(default_factory=dict)
     #: Re-dispatches after a transport failure before a job is failed.
     max_retries: int = DEFAULT_MAX_RETRIES
+    #: Warm-memo bound per worker (``REPRO_SERVE_WARM``).
+    warm_modules: int = DEFAULT_WARM_MODULES
     #: Seconds a ``?wait=1`` status request may block before answering.
     wait_timeout: float = 600.0
     #: After the last in-flight job drains, keep answering status/result
@@ -164,6 +167,7 @@ class ServeConfig:
                 os.environ.get(CLASSES_ENV_VAR)
             ),
             max_retries=env_int(RETRIES_ENV_VAR, DEFAULT_MAX_RETRIES, 0),
+            warm_modules=warm_limit_from_env(),
         )
         for name, value in overrides.items():
             if value is not None:
@@ -294,7 +298,9 @@ class RepairServer(httpio.HTTPService):
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         super().__init__(config or ServeConfig.from_env())
-        self.pool = WarmPool(self.config.workers, self.config.recycle)
+        self.pool = WarmPool(
+            self.config.workers, self.config.recycle, self.config.warm_modules
+        )
         self.cache: Optional[ResultCache] = (
             default_result_cache() if self.config.use_cache else None
         )

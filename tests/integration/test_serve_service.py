@@ -354,3 +354,26 @@ def test_server_start_failure_surfaces(isolated_cache):
         )
         with pytest.raises(RuntimeError):
             conflicting.start()
+
+
+@pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
+                         ids=["single", "sharded"])
+def test_cli_serve_rejects_a_malformed_warm_knob_before_announcing(
+        extra, isolated_cache):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["REPRO_SERVE_WARM"] = "abc"
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", *extra,
+         "--workers", "0", "--port", "0"],
+        env=env, cwd=isolated_cache, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        _, stderr = server.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        _, stderr = server.communicate(timeout=30)
+        pytest.fail(f"serve kept running with REPRO_SERVE_WARM=abc:\n{stderr}")
+    assert server.returncode != 0
+    assert "$REPRO_SERVE_WARM" in stderr
+    assert "listening" not in stderr and "starting" not in stderr

@@ -16,8 +16,10 @@ from repro.fuzz.mutate import mutate_retries
 from repro.ir import parse_module
 from repro.serve.cache import default_result_cache
 from repro.serve.jobs import (
+    DEFAULT_WARM_MODULES,
     clear_warm_modules,
     prepared_modules,
+    set_warm_limit,
     warm_module_stats,
 )
 from repro.serve.journal import JobJournal
@@ -33,17 +35,6 @@ def _recycle(tmp_path):
     pool = WarmPool(workers=0)
     pool.shutdown(wait=True)
     return pool.recycle
-
-
-def _warm_entries(tmp_path):
-    """Memo entries after two distinct modules: ``min(limit, 2)``."""
-    clear_warm_modules()
-    try:
-        for index in range(2):
-            prepared_modules(GATE + f"// k{index}\n", "gate", False)
-        return warm_module_stats()["entries"]
-    finally:
-        clear_warm_modules()
 
 
 #: knob, reader, accepted ``(raw, value read)`` pairs, rejected raws.
@@ -72,8 +63,8 @@ KNOBS = [
      [("512", 512), ("1", 1)], ["5OO", "0", "-2"]),
     ("REPRO_SERVE_TENANT_RPS", lambda t: ServeConfig.from_env().tenant_rps,
      [("0", 0.0), ("2.5", 2.5)], ["-1", "fast", "nan", "inf"]),
-    ("REPRO_SERVE_WARM", _warm_entries,
-     [("32", 2), ("1", 1)], ["0", "lots"]),
+    ("REPRO_SERVE_WARM", lambda t: ServeConfig.from_env().warm_modules,
+     [("32", 32), ("1", 1)], ["0", "lots"]),
     ("REPRO_SERVE_CACHE", lambda t: default_result_cache() is not None,
      [("1", True), ("0", False), ("off", False)], ["nope"]),
     ("REPRO_SERVE_HEALTH",
@@ -109,6 +100,23 @@ def test_knob_accepts_documented_values_and_names_itself_on_junk(
         monkeypatch.setenv(knob, raw)
         with pytest.raises(ValueError, match=knob):
             reader(tmp_path)
+
+
+def test_warm_limit_read_at_start_up_bounds_the_memo(monkeypatch):
+    monkeypatch.setenv("REPRO_SERVE_WARM", "1")
+    config = ServeConfig.from_env()
+    # Jobs never read the knob: a value set after start-up is not seen.
+    monkeypatch.setenv("REPRO_SERVE_WARM", "lots")
+    pool = WarmPool(workers=0, warm_modules=config.warm_modules)
+    clear_warm_modules()
+    try:
+        for index in range(2):
+            prepared_modules(GATE + f"// k{index}\n", "gate", False)
+        assert warm_module_stats()["entries"] == 1
+    finally:
+        pool.shutdown(wait=True)
+        set_warm_limit(DEFAULT_WARM_MODULES)
+        clear_warm_modules()
 
 
 def test_env_number_contract(monkeypatch):

@@ -9,6 +9,8 @@ import json
 import os
 from unittest import mock
 
+import pytest
+
 from repro.artifacts import ArtifactStore, build_many
 from repro.bench.runner import build_request
 from repro.bench.suite import get_benchmark
@@ -191,6 +193,14 @@ class TestFromEnvAndConfigure:
             assert Collector.from_env().enabled
         with mock.patch.dict(os.environ, {TRACE_ENV_VAR: "0"}):
             assert not Collector.from_env().enabled
+
+    def test_from_env_trace_knob_takes_on_off_words(self):
+        for word in ("off", "false", "no", " 0 ", ""):
+            assert not Collector.from_env({TRACE_ENV_VAR: word}).enabled, word
+        for word in ("on", "true", "yes", "1"):
+            assert Collector.from_env({TRACE_ENV_VAR: word}).enabled, word
+        with pytest.raises(ValueError, match=r"\$REPRO_TRACE\b"):
+            Collector.from_env({TRACE_ENV_VAR: "junk"})
 
     def test_from_env_trace_file_knob(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")

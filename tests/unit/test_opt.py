@@ -6,13 +6,10 @@ from repro.exec import Interpreter
 from repro.ir import Const, parse_function, parse_module, validate_module
 from repro.ir.instructions import BinExpr, Br, CtSel, Jmp, Load, Mov, Store
 from repro.opt import (
-    constant_fold,
-    eliminate_common_subexpressions,
     eliminate_dead_code,
     optimize,
-    propagate_copies,
-    simplify_algebraic,
     simplify_cfg,
+    simplify_ssa,
 )
 
 
@@ -25,37 +22,40 @@ class TestConstFold:
         function = parse_function(
             "func @f() { entry: x = mov 2 + 3 ret x }"
         )
-        assert constant_fold(function)
+        assert simplify_ssa(function)
         assert function.entry.instructions[0] == Mov("x", Const(5))
 
     def test_unary_folding(self):
         function = parse_function("func @f() { entry: x = mov ! 0 ret x }")
-        constant_fold(function)
+        simplify_ssa(function)
         assert function.entry.instructions[0] == Mov("x", Const(1))
 
     def test_ctsel_with_constant_condition(self):
         function = parse_function(
             "func @f(a: int, b: int) { entry: x = ctsel 1, a, b ret x }"
         )
-        constant_fold(function)
+        simplify_ssa(function)
         assert function.entry.instructions[0] == Mov("x", Const(0)) or \
             function.entry.instructions[0].expr.name == "a"
 
     def test_ret_expression_folds(self):
         function = parse_function("func @f() { entry: ret 2 * 21 }")
-        constant_fold(function)
+        simplify_ssa(function)
         assert function.entry.terminator.expr == Const(42)
 
     def test_wrapping_fold(self):
         function = parse_function(
             "func @f() { entry: x = mov 9223372036854775807 + 1 ret x }"
         )
-        constant_fold(function)
+        simplify_ssa(function)
         assert function.entry.instructions[0].expr == Const(-(1 << 63))
 
     def test_no_change_reports_false(self):
         function = parse_function("func @f(a: int) { entry: x = mov a ret x }")
-        assert not constant_fold(function)
+        # The walk propagates the copy into ``ret``; a second walk has
+        # nothing left to rewrite.
+        assert simplify_ssa(function)
+        assert not simplify_ssa(function)
 
 
 class TestSimplify:
@@ -70,7 +70,7 @@ class TestSimplify:
         function = parse_function(
             f"func @f(a: int) {{ entry: x = mov {expr} ret x }}"
         )
-        simplify_algebraic(function)
+        simplify_ssa(function)
         assert str(function.entry.instructions[0].expr) == expected
 
     def test_boolean_or_true_collapses(self):
@@ -83,7 +83,7 @@ class TestSimplify:
           ret x
         }
         """)
-        simplify_algebraic(function)
+        simplify_ssa(function)
         assert str(function.entry.instructions[1].expr) == "1"
 
     def test_non_boolean_or_one_untouched(self):
@@ -94,14 +94,14 @@ class TestSimplify:
           ret x
         }
         """)
-        simplify_algebraic(function)
+        simplify_ssa(function)
         assert str(function.entry.instructions[0].expr) == "a | 1"
 
     def test_ctsel_same_arms(self):
         function = parse_function(
             "func @f(c: int, v: int) { entry: x = ctsel c, v, v ret x }"
         )
-        simplify_algebraic(function)
+        simplify_ssa(function)
         assert function.entry.instructions[0] == Mov("x", parse_function(
             "func @g(v: int) { entry: ret v }").entry.terminator.expr)
 
@@ -114,7 +114,7 @@ class TestSimplify:
           ret x
         }
         """)
-        simplify_algebraic(function)
+        simplify_ssa(function)
         assert str(function.entry.instructions[1]) == "x = mov b"
 
 
@@ -128,7 +128,7 @@ class TestCopyProp:
           ret y
         }
         """)
-        propagate_copies(function)
+        simplify_ssa(function)
         assert str(function.entry.instructions[1].expr) == "a + 1"
 
     def test_chains_resolve(self):
@@ -141,7 +141,7 @@ class TestCopyProp:
           ret z
         }
         """)
-        propagate_copies(function)
+        simplify_ssa(function)
         assert function.entry.terminator.expr == Const(7)
 
 
@@ -156,8 +156,10 @@ class TestCSE:
           ret r
         }
         """)
-        eliminate_common_subexpressions(function)
-        assert str(function.entry.instructions[2].expr) == "x ^ x"
+        simplify_ssa(function)
+        # The merge gives ``r = x ^ x``, which the same walk folds to 0.
+        assert str(function.entry.instructions[1]) == "y = mov x"
+        assert str(function.entry.instructions[2].expr) == "0"
 
     def test_commutative_normalisation(self):
         function = parse_function("""
@@ -169,8 +171,10 @@ class TestCSE:
           ret r
         }
         """)
-        eliminate_common_subexpressions(function)
-        assert str(function.entry.instructions[2].expr) == "x ^ x"
+        simplify_ssa(function)
+        # The merge gives ``r = x ^ x``, which the same walk folds to 0.
+        assert str(function.entry.instructions[1]) == "y = mov x"
+        assert str(function.entry.instructions[2].expr) == "0"
 
     def test_loads_never_merged(self):
         function = parse_function("""
@@ -182,7 +186,7 @@ class TestCSE:
           ret r
         }
         """)
-        assert not eliminate_common_subexpressions(function)
+        assert not simplify_ssa(function)
 
     def test_only_dominating_definitions_reused(self):
         function = parse_function("""
@@ -201,7 +205,7 @@ class TestCSE:
         }
         """)
         # Neither arm dominates the other: no merge is legal.
-        assert not eliminate_common_subexpressions(function)
+        assert not simplify_ssa(function)
 
 
 class TestDCE:
@@ -386,3 +390,77 @@ class TestPipeline:
         assert report.operation_invariant
         assert report.data_invariant
         assert report.memory_safe
+
+
+# A counted loop: the back edge carries ``i2`` and the copy ``s4``, both
+# defined after the walk has passed the header's phis.
+LOOP = """
+func @f(n: int, a: int) {
+entry:
+  z = mov 0
+  one = mov 1
+  jmp head
+head:
+  i = phi [z, entry], [i2, body]
+  s = phi [a, entry], [s4, body]
+  c = mov i < n
+  br c, body, exit
+body:
+  t = mov a + 0
+  u = mov a * 1
+  s2 = mov s + t
+  s3 = mov s2 + u
+  s4 = mov s3
+  k = mov one
+  i2 = mov i + k
+  jmp head
+exit:
+  ret s
+}
+"""
+
+
+class TestBackEdges:
+    def test_back_edge_phi_operands_resolve_after_the_walk(self):
+        function = parse_function(LOOP)
+        assert simplify_ssa(function)
+        validate_module_of(function)
+        phis = [str(i) for i in function.blocks["head"].instructions[:2]]
+        assert phis == ["i = phi [0, entry], [i2, body]",
+                        "s = phi [a, entry], [s3, body]"]
+        body = [str(i) for i in function.blocks["body"].instructions]
+        assert "s3 = mov s2 + a" in body and "i2 = mov i + 1" in body
+
+    def test_loop_carried_flag_stays_boolean(self):
+        # ``b`` is 0 or a comparison result carried round the loop, so
+        # ``b | 1`` is 1 although ``c`` is defined after the phi.
+        function = parse_function("""
+        func @f(n: int) {
+        entry:
+          jmp head
+        head:
+          i = phi [0, entry], [i2, body]
+          b = phi [0, entry], [c, body]
+          t = mov i < n
+          br t, body, exit
+        body:
+          c = mov i == 3
+          i2 = mov i + 1
+          jmp head
+        exit:
+          s = mov b | 1
+          ret s
+        }
+        """)
+        simplify_ssa(function)
+        assert function.blocks["exit"].terminator.expr == Const(1)
+
+    def test_optimised_loop_matches_the_interpreter(self):
+        module = parse_module(LOOP)
+        optimized = optimize(module)
+        assert optimized.instruction_count() < module.instruction_count()
+        for n, a in [(0, 5), (1, 5), (4, -3), (7, 1 << 40)]:
+            assert (
+                Interpreter(optimized).run("f", [n, a]).value
+                == Interpreter(module).run("f", [n, a]).value
+            ), (n, a)

@@ -368,3 +368,38 @@ class TestPowerFingerprint:
         """)
         fingerprint = LeakFingerprint.of(module.functions["f"])
         assert fingerprint.ctsel_imbalances == 0
+
+
+class TestCatchesLeakyRule:
+    def test_leak_planted_in_a_simplify_rule_names_the_simplify_pass(
+            self, monkeypatch):
+        # A select rule that rebuilds a guard select without its guard
+        # flag turns it into a secret-conditioned, imbalanced select.
+        import repro.opt.simplify as simplify
+        from repro.ir.instructions import CtSel
+
+        real = simplify._simplify_ctsel
+
+        def drop_guard(instr, booleans):
+            if instr.guard:
+                return "ctsel", CtSel(
+                    instr.dest, instr.cond, instr.if_true, instr.if_false
+                )
+            return real(instr, booleans)
+
+        monkeypatch.setattr(simplify, "_simplify_ctsel", drop_guard)
+        module = parse_module("""
+        func @f(k: int) {
+        entry:
+          p = mov k < 0
+          r = ctsel p, 255, 0, guard
+          ret r
+        }
+        """)
+        with pytest.raises(LeakSanitizerError) as exc:
+            optimize(module, sanitize=True)
+        assert exc.value.pass_name == "simplify"
+        assert exc.value.diagnostic.rule == "OPT-LEAK-POWER"
+        # The unplanted walk leaves the same function clean.
+        monkeypatch.setattr(simplify, "_simplify_ctsel", real)
+        optimize(module, sanitize=True)

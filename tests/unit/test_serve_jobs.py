@@ -6,10 +6,11 @@ import pytest
 
 from repro.serve import JobSpec, canonical_result_bytes, execute_job
 from repro.serve.jobs import (
-    WARM_ENV_VAR,
+    DEFAULT_WARM_MODULES,
     clear_warm_modules,
     make_verify_inputs,
     prepared_modules,
+    set_warm_limit,
     warm_module_stats,
 )
 
@@ -107,10 +108,14 @@ def test_warm_memo_hits_on_repeat_submissions():
     assert module_a is module_b
 
 
-def test_warm_memo_is_bounded(monkeypatch):
-    monkeypatch.setenv(WARM_ENV_VAR, "2")
-    for index in range(4):
-        prepared_modules(SOURCE + f"// v{index}\n", "gate", False)
-    stats = warm_module_stats()
+def test_warm_memo_is_bounded():
+    # The pool sets the bound once, from REPRO_SERVE_WARM at start-up.
+    set_warm_limit(2)
+    try:
+        for index in range(4):
+            prepared_modules(SOURCE + f"// v{index}\n", "gate", False)
+        stats = warm_module_stats()
+    finally:
+        set_warm_limit(DEFAULT_WARM_MODULES)
     assert stats["entries"] == 2
     assert stats["evictions"] == 2
