@@ -31,10 +31,12 @@ from pathlib import Path
 from repro.analysis import classify_data_consistency
 from repro.core import RepairOptions, RepairStats, repair_module
 from repro.exec import BACKENDS, make_executor, resolve_backend
-from repro.frontend import compile_source
-from repro.ir import module_to_str, parse_module
+from repro.frontend import MiniCSyntaxError, UnrollError, compile_source
+from repro.ir import IRSyntaxError, module_to_str, parse_module
+from repro.obs import KnobError
 from repro.opt import optimize
 from repro.statics.interproc import analyze_module_taint
+from repro.transforms import IRUnrollError
 from repro.verify import check_covenant
 
 
@@ -846,7 +848,14 @@ def main(argv: "list[str] | None" = None) -> int:
     p_submit.set_defaults(func=_cmd_submit)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (IRSyntaxError, MiniCSyntaxError, UnrollError, IRUnrollError,
+            KnobError) as error:
+        # Bad input or a bad knob: one line, no traceback.  Anything
+        # else is a bug and keeps its traceback.
+        sys.stderr.write(f"lif: {error}\n")
+        return 2
 
 
 if __name__ == "__main__":

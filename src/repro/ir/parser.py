@@ -19,15 +19,24 @@ The concrete syntax mirrors the paper's Fig. 4 closely::
       ret r
     }
 
-Comments run from ``;`` or ``#`` to end of line.  The parser is a hand
-written recursive descent over a small token stream; the printer in
-:mod:`repro.ir.printer` emits exactly this syntax, so modules round-trip.
+Layout: comments run from ``;`` or ``#`` to the end of the line,
+whitespace between tokens is free, and a line may hold several
+statements, but a statement never spans lines.  Every error is an
+:class:`IRSyntaxError` naming its line.
+
+One statement reader (:class:`_Reader`) knows the grammar, in the one
+shape the printer in :mod:`repro.ir.printer` emits: one statement per
+line, single spaces, no comments.  Cached artifacts are printer output,
+so almost every line is read by splitting it at those fixed separators.
+A line the reader does not accept is tokenised once, cut into statements
+and re-rendered in printer shape (:func:`_pieces`), and each piece goes
+through the same reader; a piece it still rejects is a syntax error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
 from functools import lru_cache
 from typing import Optional
 
@@ -60,328 +69,12 @@ class IRSyntaxError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, INT, OP, PUNCT
-    text: str
-    line: int
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_INT_RE = re.compile(r"[0-9]+")
-# Longest-match first so "<<" wins over "<".
-_OPERATORS = ("<<", ">>", "==", "!=", "<=", ">=", "+", "-", "*", "/", "%",
-              "&", "|", "^", "<", ">", "!", "~")
-_PUNCT = ("(", ")", "[", "]", "{", "}", ",", ":", "=", "@")
-
-_KEYWORDS = {
-    "global", "const", "func", "mov", "alloc", "load", "store", "phi",
-    "ctsel", "call", "jmp", "br", "ret", "int", "ptr", "secret",
-}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch in ";#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1].isdigit() and _unary_context(tokens):
-            match = _INT_RE.match(text, i + 1)
-            assert match is not None
-            tokens.append(_Token("INT", "-" + match.group(), line))
-            i = match.end()
-            continue
-        match = _NAME_RE.match(text, i)
-        if match:
-            tokens.append(_Token("NAME", match.group(), line))
-            i = match.end()
-            continue
-        match = _INT_RE.match(text, i)
-        if match:
-            tokens.append(_Token("INT", match.group(), line))
-            i = match.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token("OP", op, line))
-                i += len(op)
-                break
-        else:
-            if ch in _PUNCT:
-                tokens.append(_Token("PUNCT", ch, line))
-                i += 1
-            else:
-                raise IRSyntaxError(f"unexpected character {ch!r}", line)
-    return tokens
-
-
-def _unary_context(tokens: list[_Token]) -> bool:
-    """True when a ``-`` here begins a negative literal, not a subtraction."""
-    if not tokens:
-        return True
-    prev = tokens[-1]
-    if prev.kind in ("INT",):
-        return False
-    if prev.kind == "NAME" and prev.text not in _KEYWORDS:
-        return False
-    if prev.kind == "PUNCT" and prev.text in (")", "]"):
-        return False
-    return True
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Optional[_Token]:
-        index = self._pos + offset
-        return self._tokens[index] if index < len(self._tokens) else None
-
-    def _line(self) -> int:
-        tok = self._peek()
-        return tok.line if tok else (self._tokens[-1].line if self._tokens else 0)
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise IRSyntaxError("unexpected end of input", self._line())
-        self._pos += 1
-        return tok
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self._next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            wanted = text or kind
-            raise IRSyntaxError(f"expected {wanted!r}, found {tok.text!r}", tok.line)
-        return tok
-
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
-        tok = self._peek()
-        if tok and tok.kind == kind and (text is None or tok.text == text):
-            self._pos += 1
-            return tok
-        return None
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "NAME" and tok.text == word
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse_module(self, name: str) -> Module:
-        module = Module(name)
-        while self._peek() is not None:
-            if self._at_keyword("const") or self._at_keyword("global"):
-                module.add_global(self._parse_global())
-            elif self._at_keyword("func"):
-                module.add_function(self._parse_function())
-            else:
-                tok = self._peek()
-                raise IRSyntaxError(
-                    f"expected 'global' or 'func', found {tok.text!r}", tok.line
-                )
-        return module
-
-    def _parse_global(self) -> GlobalArray:
-        const = self._accept("NAME", "const") is not None
-        self._expect("NAME", "global")
-        self._expect("PUNCT", "@")
-        name = self._expect("NAME").text
-        self._expect("PUNCT", "[")
-        size = int(self._expect("INT").text)
-        self._expect("PUNCT", "]")
-        init: tuple[int, ...] = ()
-        if self._accept("PUNCT", "="):
-            self._expect("PUNCT", "[")
-            values = []
-            if not self._accept("PUNCT", "]"):
-                values.append(int(self._expect("INT").text))
-                while self._accept("PUNCT", ","):
-                    values.append(int(self._expect("INT").text))
-                self._expect("PUNCT", "]")
-            init = tuple(values)
-        return GlobalArray(name, size, init, const)
-
-    def _parse_function(self) -> Function:
-        self._expect("NAME", "func")
-        self._expect("PUNCT", "@")
-        name = self._expect("NAME").text
-        self._expect("PUNCT", "(")
-        params: list[Param] = []
-        secret: list[str] = []
-        if not self._accept("PUNCT", ")"):
-            params.append(self._parse_param(secret))
-            while self._accept("PUNCT", ","):
-                params.append(self._parse_param(secret))
-            self._expect("PUNCT", ")")
-        function = Function(name, params, sensitive_params=tuple(secret))
-        self._expect("PUNCT", "{")
-        while not self._accept("PUNCT", "}"):
-            self._parse_block(function)
-        return function
-
-    def _parse_param(self, secret: list[str]) -> Param:
-        name = self._expect("NAME").text
-        self._expect("PUNCT", ":")
-        kind = self._expect("NAME").text
-        if kind == "secret":
-            secret.append(name)
-            kind = self._expect("NAME").text
-        if kind not in ("int", "ptr"):
-            raise IRSyntaxError(f"unknown parameter kind {kind!r}", self._line())
-        return Param(name, kind)
-
-    def _parse_block(self, function: Function) -> None:
-        label = self._expect("NAME").text
-        self._expect("PUNCT", ":")
-        block = function.add_block(label)
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise IRSyntaxError(f"block {label} lacks a terminator", self._line())
-            if tok.kind == "NAME" and tok.text == "jmp":
-                self._next()
-                block.terminator = Jmp(self._expect("NAME").text)
-                return
-            if tok.kind == "NAME" and tok.text == "br":
-                self._next()
-                cond = self._parse_value()
-                self._expect("PUNCT", ",")
-                if_true = self._expect("NAME").text
-                self._expect("PUNCT", ",")
-                if_false = self._expect("NAME").text
-                block.terminator = Br(cond, if_true, if_false)
-                return
-            if tok.kind == "NAME" and tok.text == "ret":
-                self._next()
-                block.terminator = Ret(self._parse_expr())
-                return
-            block.append(self._parse_instruction())
-
-    def _parse_instruction(self):
-        tok = self._peek()
-        assert tok is not None
-        if tok.kind == "NAME" and tok.text == "store":
-            self._next()
-            value = self._parse_value()
-            self._expect("PUNCT", ",")
-            array = Var(self._expect("NAME").text)
-            self._expect("PUNCT", "[")
-            index = self._parse_value()
-            self._expect("PUNCT", "]")
-            return Store(value, array, index)
-        if tok.kind == "NAME" and tok.text == "call":
-            return self._parse_call(dest=None)
-
-        dest = self._expect("NAME").text
-        self._expect("PUNCT", "=")
-        op = self._expect("NAME")
-        if op.text == "mov":
-            return Mov(dest, self._parse_expr())
-        if op.text == "alloc":
-            return Alloc(dest, self._parse_expr())
-        if op.text == "load":
-            array = Var(self._expect("NAME").text)
-            self._expect("PUNCT", "[")
-            index = self._parse_value()
-            self._expect("PUNCT", "]")
-            return Load(dest, array, index)
-        if op.text == "ctsel":
-            cond = self._parse_value()
-            self._expect("PUNCT", ",")
-            if_true = self._parse_value()
-            self._expect("PUNCT", ",")
-            if_false = self._parse_value()
-            guard = False
-            if self._accept("PUNCT", ","):
-                self._expect("NAME", "guard")
-                guard = True
-            return CtSel(dest, cond, if_true, if_false, guard=guard)
-        if op.text == "phi":
-            arms = [self._parse_phi_arm()]
-            while self._accept("PUNCT", ","):
-                arms.append(self._parse_phi_arm())
-            return Phi(dest, tuple(arms))
-        if op.text == "call":
-            self._pos -= 1  # rewind: _parse_call expects the keyword
-            return self._parse_call(dest=dest)
-        raise IRSyntaxError(f"unknown instruction {op.text!r}", op.line)
-
-    def _parse_call(self, dest: Optional[str]) -> Call:
-        self._expect("NAME", "call")
-        self._expect("PUNCT", "@")
-        callee = self._expect("NAME").text
-        self._expect("PUNCT", "(")
-        args: list[Value] = []
-        if not self._accept("PUNCT", ")"):
-            args.append(self._parse_value())
-            while self._accept("PUNCT", ","):
-                args.append(self._parse_value())
-            self._expect("PUNCT", ")")
-        return Call(dest, callee, tuple(args))
-
-    def _parse_phi_arm(self) -> tuple[Value, str]:
-        self._expect("PUNCT", "[")
-        value = self._parse_value()
-        self._expect("PUNCT", ",")
-        label = self._expect("NAME").text
-        self._expect("PUNCT", "]")
-        return value, label
-
-    def _parse_expr(self) -> Expr:
-        tok = self._peek()
-        assert tok is not None
-        if tok.kind == "OP" and tok.text in ("-", "!", "~"):
-            self._next()
-            return UnaryExpr(tok.text, self._parse_value())
-        lhs = self._parse_value()
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "OP" and nxt.text in BINARY_OPS:
-            self._next()
-            rhs = self._parse_value()
-            return BinExpr(nxt.text, lhs, rhs)
-        return lhs
-
-    def _parse_value(self) -> Value:
-        tok = self._next()
-        if tok.kind == "INT":
-            return Const(int(tok.text))
-        if tok.kind == "NAME":
-            return Var(tok.text)
-        raise IRSyntaxError(f"expected a value, found {tok.text!r}", tok.line)
-
-
-# -- fast path for printer-emitted IR ----------------------------------------
+# -- the statement reader ----------------------------------------------------
 #
-# The printer emits exactly one canonical shape per construct (one
-# instruction per line, single spaces, no comments).  Cached artifacts and
-# most parse_module inputs are printer output, so a line-oriented parser
-# that only accepts that shape recovers the module several times faster
-# than the token-stream parser.  Any deviation raises _FastParseError and
-# parse_module falls back to the general parser, which accepts the full
-# grammar and reports proper diagnostics — so the fast path can only ever
-# change speed, never the language.
-
-
-class _FastParseError(Exception):
-    """Input is not (recognisably) printer-shaped; use the slow parser."""
-
+# Each helper takes the text of one printer-shaped construct and raises
+# ValueError when the text is not in that shape; parse_module decides
+# whether that means "re-render the line" or "report a syntax error".
+# Nothing is added to the module until a whole statement has been read.
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _GLOBAL_RE = re.compile(
@@ -391,199 +84,299 @@ _GLOBAL_RE = re.compile(
 _UNARY_OPS = ("-", "!", "~")
 
 
+def _label(text: str) -> str:
+    if _LABEL_RE.match(text) is None:
+        raise ValueError(f"expected a name, found {text!r}")
+    return text
+
+
 @lru_cache(maxsize=65536)
-def _fast_value(tok: str) -> Value:
+def _value(tok: str) -> Value:
     # Values are frozen dataclasses, so memoised instances can be shared
     # freely between instructions, functions, and parses.
-    if not tok:
-        raise _FastParseError
-    head = tok[0]
-    if head.isdigit() or head == "-":
-        return Const(int(tok))  # ValueError -> caller falls back
-    if _LABEL_RE.match(tok) is None:
-        raise _FastParseError
-    return Var(tok)
+    if tok[:1].isdigit() or tok[:1] == "-":
+        return Const(int(tok))
+    return Var(_label(tok))
 
 
-def _fast_expr(text: str) -> Expr:
+def _expr(text: str) -> Expr:
     parts = text.split(" ")
     count = len(parts)
     if count == 1:
-        return _fast_value(parts[0])
+        return _value(parts[0])
     if count == 2 and parts[0] in _UNARY_OPS:
-        return UnaryExpr(parts[0], _fast_value(parts[1]))
+        return UnaryExpr(parts[0], _value(parts[1]))
     if count == 3 and parts[1] in BINARY_OPS:
-        return BinExpr(parts[1], _fast_value(parts[0]), _fast_value(parts[2]))
-    raise _FastParseError
+        return BinExpr(parts[1], _value(parts[0]), _value(parts[2]))
+    raise ValueError(f"malformed expression {text!r}")
 
 
-def _fast_access(text: str) -> tuple[Var, Value]:
+def _access(text: str) -> tuple[Var, Value]:
     """Split ``arr[idx]`` into its array variable and index value."""
     array, bracket, rest = text.partition("[")
     if not bracket or not rest.endswith("]"):
-        raise _FastParseError
-    return Var(array), _fast_value(rest[:-1])
+        raise ValueError(f"malformed array access {text!r}")
+    return Var(_label(array)), _value(rest[:-1])
 
 
-def _fast_call(text: str, dest: Optional[str]) -> Call:
-    # text is "call @callee(arg, arg)"
-    body = text[6:]
-    callee, paren, rest = body.partition("(")
-    if not paren or not rest.endswith(")") or _LABEL_RE.match(callee) is None:
-        raise _FastParseError
+def _call(dest: Optional[str], text: str) -> Call:
+    # text is "@callee(arg, arg)"
+    callee, paren, rest = text[1:].partition("(")
+    if text[:1] != "@" or not paren or not rest.endswith(")"):
+        raise ValueError(f"malformed call {text!r}")
     inner = rest[:-1]
-    args = tuple(_fast_value(a) for a in inner.split(", ")) if inner else ()
-    return Call(dest, callee, args)
+    args = tuple(_value(a) for a in inner.split(", ")) if inner else ()
+    return Call(dest, _label(callee), args)
 
 
-def _fast_instruction(line: str):
-    dest, sep, rhs = line.partition(" = ")
-    if not sep or " = " in rhs or _LABEL_RE.match(dest) is None:
-        raise _FastParseError
-    if rhs.startswith("mov "):
-        return Mov(dest, _fast_expr(rhs[4:]))
-    if rhs.startswith("load "):
-        array, index = _fast_access(rhs[5:])
-        return Load(dest, array, index)
-    if rhs.startswith("ctsel "):
-        parts = rhs[6:].split(", ")
-        guard = False
-        if len(parts) == 4 and parts[3] == "guard":
-            guard = True
-            parts = parts[:3]
-        if len(parts) != 3:
-            raise _FastParseError
-        return CtSel(dest, *(_fast_value(p) for p in parts), guard=guard)
-    if rhs.startswith("phi "):
-        arms = rhs[4:]
-        if not arms.startswith("[") or not arms.endswith("]"):
-            raise _FastParseError
-        incomings = []
-        for arm in arms[1:-1].split("], ["):
-            value, comma, label = arm.partition(", ")
-            if not comma or _LABEL_RE.match(label) is None:
-                raise _FastParseError
-            incomings.append((_fast_value(value), label))
-        return Phi(dest, tuple(incomings))
-    if rhs.startswith("alloc "):
-        return Alloc(dest, _fast_expr(rhs[6:]))
-    if rhs.startswith("call @"):
-        return _fast_call(rhs, dest)
-    raise _FastParseError
+def _ctsel(dest: str, text: str) -> CtSel:
+    parts = text.split(", ")
+    guard = len(parts) == 4 and parts[3] == "guard"
+    if guard:
+        parts.pop()
+    if len(parts) != 3:
+        raise ValueError(f"malformed ctsel {text!r}")
+    return CtSel(dest, *map(_value, parts), guard=guard)
 
 
-def _fast_params(text: str) -> tuple[list[Param], tuple[str, ...]]:
+def _phi(dest: str, text: str) -> Phi:
+    if not text.startswith("[") or not text.endswith("]"):
+        raise ValueError(f"malformed phi {text!r}")
+    incomings = []
+    for arm in text[1:-1].split("], ["):
+        value, comma, label = arm.partition(", ")
+        if not comma:
+            raise ValueError(f"malformed phi arm {arm!r}")
+        incomings.append((_value(value), _label(label)))
+    return Phi(dest, tuple(incomings))
+
+
+#: ``dest = OP operands``: the reader for each opcode word.
+_ASSIGNMENTS = {
+    "mov": lambda dest, text: Mov(dest, _expr(text)),
+    "load": lambda dest, text: Load(dest, *_access(text)),
+    "ctsel": _ctsel,
+    "phi": _phi,
+    "alloc": lambda dest, text: Alloc(dest, _expr(text)),
+    "call": _call,
+}
+
+
+def _br(text: str) -> Br:
+    parts = text.split(", ")
+    if len(parts) != 3:
+        raise ValueError(f"malformed br {text!r}")
+    return Br(_value(parts[0]), _label(parts[1]), _label(parts[2]))
+
+
+#: Statements led by a keyword that ends the block.
+_TERMINATORS = {
+    "jmp": lambda text: Jmp(_label(text)),
+    "br": _br,
+    "ret": lambda text: Ret(_expr(text)),
+}
+
+
+def _global(line: str) -> GlobalArray:
+    match = _GLOBAL_RE.match(line)
+    if match is None:
+        raise ValueError(f"expected a global or a function, found {line!r}")
+    const, name, size, init = match.groups()
+    values = tuple(int(v) for v in init.split(", ")) if init else ()
+    return GlobalArray(name, int(size), values, const is not None)
+
+
+def _header(line: str) -> Function:
+    # line is "func @name(a: int, b: secret ptr) {"
+    name, paren, rest = line[6:].partition("(")
+    if not paren or not rest.endswith(") {"):
+        raise ValueError(f"malformed function header {line!r}")
     params: list[Param] = []
     secret: list[str] = []
-    if text:
-        for part in text.split(", "):
-            pieces = part.split(": ")
-            if len(pieces) != 2 or _LABEL_RE.match(pieces[0]) is None:
-                raise _FastParseError
-            name, kind = pieces
+    if rest != ") {":
+        for part in rest[:-3].split(", "):
+            param, colon, kind = part.partition(": ")
             if kind.startswith("secret "):
-                secret.append(name)
+                secret.append(param)
                 kind = kind[7:]
-            if kind not in PARAM_KINDS:
-                raise _FastParseError
-            params.append(Param(name, kind))
-    return params, tuple(secret)
+            if not colon or kind not in PARAM_KINDS:
+                raise ValueError(f"malformed parameter {part!r}")
+            params.append(Param(_label(param), kind))
+    return Function(_label(name), params, sensitive_params=tuple(secret))
 
 
-def _fast_parse(text: str, name: str) -> Module:
-    module = Module(name)
-    function: Optional[Function] = None
-    block = None
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if not line:
-            continue
-        if ";" in line or "#" in line:
-            raise _FastParseError  # comments: slow parser territory
+class _Reader:
+    """Builds a module from printer-shaped statements, one at a time."""
+
+    __slots__ = ("module", "function", "block")
+
+    def __init__(self, name: str) -> None:
+        self.module = Module(name)
+        self.function: Optional[Function] = None
+        self.block = None
+
+    def read(self, line: str) -> None:
+        """Add one statement, or raise ValueError and add nothing."""
+        function = self.function
         if function is None:
             if line.startswith("func @"):
-                if not line.endswith(") {"):
-                    raise _FastParseError
-                header, paren, rest = line[6:-3].partition("(")
-                if not paren or _LABEL_RE.match(header) is None:
-                    raise _FastParseError
-                params, secret = _fast_params(rest)
-                function = Function(header, params, sensitive_params=secret)
-                block = None
-                continue
-            match = _GLOBAL_RE.match(line)
-            if match is None:
-                raise _FastParseError
-            const, gname, size, init = match.groups()
-            values = (
-                tuple(int(v) for v in init.split(", ")) if init else ()
-            )
-            module.add_global(
-                GlobalArray(gname, int(size), values, const is not None)
-            )
-            continue
+                self.function = _header(line)
+            else:
+                self.module.add_global(_global(line))
+            return
+        block = self.block
         if line == "}":
-            if block is not None:  # unterminated final block
-                raise _FastParseError
-            module.add_function(function)
-            function = None
-            continue
+            if block is not None:
+                raise ValueError(f"block {block.label} lacks a terminator")
+            self.module.add_function(function)
+            self.function = None
+            return
         if block is None:
             if not line.endswith(":"):
-                raise _FastParseError
-            label = line[:-1]
-            if _LABEL_RE.match(label) is None:
-                raise _FastParseError
-            block = function.add_block(label)
-            continue
-        if line.startswith("jmp "):
-            target = line[4:]
-            if _LABEL_RE.match(target) is None:
-                raise _FastParseError
-            block.terminator = Jmp(target)
-            block = None
-        elif line.startswith("br "):
-            parts = line[3:].split(", ")
-            if len(parts) != 3 or any(
-                _LABEL_RE.match(p) is None for p in parts[1:]
-            ):
-                raise _FastParseError
-            block.terminator = Br(_fast_value(parts[0]), parts[1], parts[2])
-            block = None
-        elif line.startswith("ret "):
-            block.terminator = Ret(_fast_expr(line[4:]))
-            block = None
-        elif line.startswith("store "):
-            value, comma, access = line[6:].partition(", ")
+                raise ValueError(f"expected a block label, found {line!r}")
+            self.block = function.add_block(_label(line[:-1]))
+            return
+        head, _, rest = line.partition(" ")
+        terminator = _TERMINATORS.get(head)
+        if terminator is not None:
+            block.terminator = terminator(rest)
+            self.block = None
+        elif head == "store":
+            value, comma, access = rest.partition(", ")
             if not comma:
-                raise _FastParseError
-            array, index = _fast_access(access)
-            block.append(Store(_fast_value(value), array, index))
-        elif line.startswith("call @"):
-            block.append(_fast_call(line, None))
+                raise ValueError(f"malformed store {line!r}")
+            array, index = _access(access)
+            block.append(Store(_value(value), array, index))
+        elif rest[:2] == "= ":
+            op, _, operands = rest[2:].partition(" ")
+            assignment = _ASSIGNMENTS.get(op)
+            if assignment is None:
+                raise ValueError(f"unknown instruction {op!r}")
+            block.append(assignment(_label(head), operands))
+        elif head == "call":
+            block.append(_call(None, rest))
         else:
-            block.append(_fast_instruction(line))
-    if function is not None:
-        raise _FastParseError  # unclosed function body
-    return module
+            raise ValueError(f"expected an instruction, found {line!r}")
+
+
+# -- free-form lines ---------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"[;#].*|[A-Za-z_][A-Za-z0-9_.]*|-?[0-9]+|<<|>>|[=!<>]=|[^ \t\r]"
+)
+_TOKEN_HEADS = frozenset(
+    string.ascii_letters + string.digits + "_+-*/%&|^<>!~()[]{},:=@"
+)
+#: Words after which a ``-`` and digits are one negative literal.
+_KEYWORDS = frozenset((
+    "global", "const", "func", "mov", "alloc", "load", "store", "phi",
+    "ctsel", "call", "jmp", "br", "ret", "int", "ptr", "secret",
+))
+_STATEMENT_WORDS = frozenset(
+    ("store", "jmp", "br", "ret", "func", "global", "const")
+)
+
+
+def _tokens(line: str) -> list[str]:
+    tokens: list[str] = []
+    for tok in _TOKEN_RE.findall(line):
+        head = tok[0]
+        if head in ";#":
+            break
+        if head not in _TOKEN_HEADS:
+            raise ValueError(f"unexpected character {head!r}")
+        if head == "-" and len(tok) > 1 and tokens:
+            # "-5" is a literal only where a value starts: not after a
+            # value (a name, a number, or a closing bracket).
+            prev = tokens[-1]
+            if prev in (")", "]") or prev[-1].isdigit() or (
+                    prev[0].isalpha() or prev[0] == "_") \
+                    and prev not in _KEYWORDS:
+                tokens.append("-")
+                tok = tok[1:]
+        tokens.append(tok)
+    return tokens
+
+
+def _starts_statement(tokens: list[str], i: int) -> bool:
+    tok, prev = tokens[i], tokens[i - 1]
+    if prev in ("{", "}") or tok == "}":
+        return True
+    if tok in _STATEMENT_WORDS:
+        return not (tok == "global" and prev == "const")
+    if tok == "call":
+        return prev != "="
+    following = tokens[i + 1] if i + 1 < len(tokens) else None
+    return following in ("=", ":") and (tok[0].isalpha() or tok[0] == "_")
+
+
+def _render(piece: list[str]) -> str:
+    """Join one statement's tokens with the printer's spacing."""
+    out = [piece[0]]
+    for i in range(1, len(piece)):
+        tok, prev = piece[i], piece[i - 1]
+        if tok == "[":
+            # Tight in ``a[i]`` and ``@g[4]``; spaced before a phi arm
+            # and a global's initializer.
+            tight = prev not in (",", "=") and not (
+                i == 3 and prev == "phi" and piece[1] == "=")
+        else:
+            tight = tok in (",", ":", ")", "]", "(") or prev in ("@", "(", "[")
+        out.append(tok if tight else " " + tok)
+    return "".join(out)
+
+
+def _pieces(line: str) -> list[str]:
+    """Cut a free-form line into statements rendered in printer shape."""
+    tokens = _tokens(line)
+    pieces = []
+    start = depth = 0
+    for i, tok in enumerate(tokens):
+        if tok in ("(", "["):
+            depth += 1
+        elif tok in (")", "]"):
+            depth -= 1
+        elif depth == 0 and i > start and _starts_statement(tokens, i):
+            pieces.append(_render(tokens[start:i]))
+            start = i
+    if start < len(tokens):
+        pieces.append(_render(tokens[start:]))
+    return pieces
+
+
+def _last_statement_line(lines: list[str]) -> int:
+    for index in range(len(lines) - 1, -1, -1):
+        if lines[index].split(";")[0].split("#")[0].strip():
+            return index + 1
+    return 0
 
 
 def parse_module(text: str, name: str = "module") -> Module:
-    """Parse a whole module from its textual form.
-
-    Printer-emitted text takes a fast line-oriented path; anything else
-    (comments, free-form whitespace, single-line functions) falls back to
-    the general recursive-descent parser.
-    """
-    try:
-        return _fast_parse(text, name)
-    except _FastParseError:
-        pass
-    except ValueError as error:
-        if isinstance(error, IRSyntaxError):
-            raise
-        pass  # e.g. malformed integer literal on the fast path
-    return _Parser(_tokenize(text)).parse_module(name)
+    """Parse a whole module from its textual form."""
+    reader = _Reader(name)
+    read = reader.read
+    lines = text.split("\n")
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        if ";" not in line and "#" not in line:
+            try:
+                read(line)
+                continue
+            except ValueError:
+                pass
+        try:
+            for piece in _pieces(line):
+                read(piece)
+        except ValueError as error:
+            raise IRSyntaxError(str(error), number) from None
+    if reader.function is not None:
+        raise IRSyntaxError(
+            f"function @{reader.function.name} is not closed",
+            _last_statement_line(lines),
+        )
+    return reader.module
 
 
 def parse_function(text: str) -> Function:

@@ -21,6 +21,7 @@ from repro.obs.collector import (
     TRACE_ENV_VAR,
     TRACE_FILE_ENV_VAR,
     Collector,
+    KnobError,
     configure,
     env_flag,
     env_float,
@@ -33,6 +34,7 @@ __all__ = [
     "TRACE_ENV_VAR",
     "TRACE_FILE_ENV_VAR",
     "Collector",
+    "KnobError",
     "configure",
     "env_flag",
     "env_float",

@@ -43,6 +43,10 @@ TRACE_ENV_VAR = "REPRO_TRACE"
 TRACE_FILE_ENV_VAR = "REPRO_TRACE_FILE"
 
 
+class KnobError(ValueError):
+    """A ``REPRO_*`` environment knob holds a malformed or out-of-range value."""
+
+
 def env_flag(name: str, default: bool, environ=None) -> bool:
     """A boolean knob; anything but an on/off word raises naming the knob.
 
@@ -56,7 +60,7 @@ def env_flag(name: str, default: bool, environ=None) -> bool:
         return True
     if raw in ("0", "no", "false", "off"):
         return False
-    raise ValueError(
+    raise KnobError(
         f"${name} must be one of 1/yes/true/on or 0/no/false/off, "
         f"got {raw!r}"
     )
@@ -92,7 +96,7 @@ def _env_number(name, default, parse, kind, lo, hi):
             kind += f" >= {lo}"
         elif hi is not None:
             kind += f" <= {hi}"
-        raise ValueError(f"${name} must be {kind}, got {raw!r}")
+        raise KnobError(f"${name} must be {kind}, got {raw!r}")
     return value
 
 

@@ -140,3 +140,43 @@ class TestVerify:
                      "--array-size", "2"]) == 0
         out = capsys.readouterr().out
         assert "covenant holds      : True" in out
+
+
+class TestInputErrors:
+    """Bad input or a bad knob: one ``lif:`` line on stderr and exit 2."""
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.ir", "func @f() {\nentry:\n  x = frob 1\n  ret x\n}\n",
+         "lif: line 3: unknown instruction 'frob'"),
+        ("bad.mc", "uint f(uint a) {\n  return a +;\n}\n",
+         "lif: line 2: "),
+        ("loop.mc", "uint f(uint n) {\n  uint s = 0;\n"
+                    "  for (uint i = 0; i < n; i = i + 1) { s = s + i; }\n"
+                    "  return s;\n}\n",
+         "lif: line 3: cannot unroll loop"),
+    ], ids=["ir-syntax", "minic-syntax", "unroll"])
+    def test_malformed_input_is_one_line(self, tmp_path, capsys, name, text,
+                                         message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["compile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    def test_malformed_knob_is_one_line(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SERVE_WARM", "abc")
+        assert main(["serve", "--workers", "0", "--port", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "lif: $REPRO_SERVE_WARM must be an integer >= 1, got 'abc'\n"
+        )
+
+    def test_other_errors_keep_their_traceback(self, monkeypatch,
+                                               source_file):
+        def broken(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr("repro.cli._cmd_compile", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["compile", source_file])

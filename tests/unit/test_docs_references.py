@@ -5,13 +5,16 @@ relative link in the ``docs/`` book (and the README) must resolve to a
 file in the repository, and every ``REPRO_*`` environment knob the
 EXPERIMENTS.md table documents must actually be read somewhere under
 ``src/`` (or ``benchmarks/``, for harness-only knobs) — a renamed knob
-or a moved page fails here instead of misleading a reader.
+or a moved page fails here instead of misleading a reader.  The textual
+IR example in LANGUAGE.md must parse, too.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+
+from repro.ir import parse_module
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -65,3 +68,13 @@ def test_docs_name_every_bench_record():
         if record.name not in text
     ]
     assert not missing, f"EXPERIMENTS.md never mentions: {missing}"
+
+
+def test_language_ir_example_parses():
+    """The fenced example under LANGUAGE.md's "Textual IR" parses."""
+    text = (REPO / "docs" / "LANGUAGE.md").read_text()
+    section = text.split("\n## Textual IR\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```\n", 2)[1]
+    module = parse_module(example)
+    assert list(module.globals) == ["sbox", "scratch"]
+    assert list(module.function("cmp").blocks) == ["entry", "eq", "ne", "done"]

@@ -99,6 +99,29 @@ class TestRoundTrips:
         }
         """)
 
+    @pytest.mark.parametrize("text, expr", [
+        ("x = mov a-3 ret x", BinExpr("-", Var("a"), Const(3))),
+        ("x = mov -a ret x", UnaryExpr("-", Var("a"))),
+        ("x = mov a - -3 ret x", BinExpr("-", Var("a"), Const(-3))),
+        ("ret -1", Const(-1)),
+    ])
+    def test_minus_shapes(self, text, expr):
+        function = parse_function(f"func @f(a: int) {{ entry: {text} }}")
+        block = function.entry
+        got = block.instructions[0].expr if block.instructions \
+            else block.terminator.expr
+        assert got == expr
+
+    def test_several_statements_and_free_whitespace(self):
+        function = parse_function(
+            "func @f(a:\tint){entry:x=mov a+1  ;\n"
+            "  y = load  a [ x ]\tstore y,a[0] jmp\tdone done: ret y}  # end"
+        )
+        assert str(function) == (
+            "func @f(a: int) {\nentry:\n  x = mov a + 1\n  y = load a[x]\n"
+            "  store y, a[0]\n  jmp done\ndone:\n  ret y\n}"
+        )
+
     def test_all_binary_operators(self):
         for op in ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
                    "==", "!=", "<", "<=", ">", ">="):
@@ -122,6 +145,32 @@ class TestErrors:
     def test_duplicate_global(self):
         with pytest.raises(ValueError):
             parse_module("global @g[1] global @g[1]")
+
+    @pytest.mark.parametrize("text, line", [
+        ("global @g[1] global @g[1]", 1),
+        ("global @g[1]\n\nglobal @g[2]", 3),
+        ("global @g[1] = [1, 2]", 1),
+        ("func @f() {\nentry:\n  jmp entry\nentry:\n  ret 0\n}", 4),
+        ("func @f() { entry: ret 0 }\nfunc @f() { entry: ret 1 }", 2),
+        ("func @f() {\nentry:\n  x = mov " + "9" * 4301 + "\n  ret x\n}",
+         3),
+    ], ids=["duplicate-global", "duplicate-global-later", "long-initializer",
+            "duplicate-label", "duplicate-function", "long-literal"])
+    def test_invalid_declaration_names_its_line(self, text, line):
+        with pytest.raises(IRSyntaxError) as excinfo:
+            parse_module(text)
+        assert excinfo.value.line == line
+
+    def test_statement_may_not_span_lines(self):
+        with pytest.raises(IRSyntaxError) as excinfo:
+            parse_module("func @f(a: int) {\nentry:\n  x =\n  mov a\n"
+                         "  ret x\n}")
+        assert excinfo.value.line == 3
+
+    def test_unclosed_function_names_its_last_line(self):
+        with pytest.raises(IRSyntaxError) as excinfo:
+            parse_module("func @f() {\nentry:\n  ret 0\n\n; trailing\n")
+        assert excinfo.value.line == 3
 
     def test_bad_param_kind(self):
         with pytest.raises(IRSyntaxError):
