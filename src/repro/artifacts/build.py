@@ -81,13 +81,28 @@ class BuiltArtifacts:
     certification_matrix: dict = field(default_factory=dict)
     #: True when this record came from the on-disk store, not a build.
     cache_hit: bool = False
+    #: printed line -> the instruction or terminator parsed from it, shared
+    #: by every variant :func:`parse_variant` materialises from this record.
+    #: In-memory only: not saved, compared, shown or set by the constructor.
+    statements: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def parse_variant(built: BuiltArtifacts, variant: str):
-    """Materialise one variant's module from its printed IR."""
+    """Materialise one variant's module from its printed IR.
+
+    The variants of one build repeat most of their statements, so each
+    distinct statement line is parsed once per record and its (immutable)
+    instruction object is shared by every variant that prints it.
+    """
     from repro.ir.parser import parse_module
 
-    return parse_module(built.ir[variant], name=built.module_names[variant])
+    return parse_module(
+        built.ir[variant],
+        name=built.module_names[variant],
+        statements=built.statements,
+    )
 
 
 def _mutable(arg):

@@ -349,6 +349,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         _check_backend(args.backend)
         os.environ["REPRO_BACKEND"] = args.backend
 
+    from repro.artifacts import resolve_jobs
     from repro.bench.runner import build_suite
     from repro.bench.suite import benchmark_names
 
@@ -382,7 +383,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print(line)
     print(
         f"{len(artifacts)} benchmarks in {elapsed:.2f}s "
-        f"({hits} cached, jobs={args.jobs or 'auto'})"
+        f"({hits} cached, jobs={resolve_jobs(args.jobs)})"
     )
 
     from repro.obs import OBS

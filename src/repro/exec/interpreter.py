@@ -54,6 +54,12 @@ DEFAULT_MAX_STEPS = 50_000_000
 DEFAULT_MAX_CALL_DEPTH = 64
 
 
+def _site(frame: _Frame, instr):
+    """An access's site, rendered (through the IR printer) only if
+    :class:`Memory` reports the access."""
+    return lambda: f"{frame.function.name}:{instr}"
+
+
 @dataclass
 class ExecutionResult:
     """Everything observed while running one function."""
@@ -290,20 +296,20 @@ class Interpreter:
         elif isinstance(instr, Load):
             pointer = self._eval_pointer(instr.array, frame)
             index = self._eval_int(instr.index, frame, "load index")
-            site = f"{frame.function.name}:{instr}"
             if self._observing:
                 self._touch_data(pointer, index, "load", state)
-            frame.env[instr.dest] = state.memory.load(pointer, index, site)
+            frame.env[instr.dest] = state.memory.load(
+                pointer, index, _site(frame, instr)
+            )
         elif isinstance(instr, Store):
             pointer = self._eval_pointer(instr.array, frame)
             index = self._eval_int(instr.index, frame, "store index")
             value = self._eval_value(instr.value, frame)
             if isinstance(value, Pointer):
                 raise InterpreterError("storing pointers into memory is not supported")
-            site = f"{frame.function.name}:{instr}"
             if self._observing:
                 self._touch_data(pointer, index, "store", state)
-            state.memory.store(pointer, index, value, site)
+            state.memory.store(pointer, index, value, _site(frame, instr))
         elif isinstance(instr, CtSel):
             cond = self._eval_int(instr.cond, frame, "ctsel condition")
             chosen = instr.if_true if cond != 0 else instr.if_false

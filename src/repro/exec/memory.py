@@ -14,9 +14,13 @@ allocator, which the cache simulator uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from repro.ir.ops import WORD_BYTES
+
+#: Where an access happened: its text, or a function rendering the text,
+#: called only if the access is reported.
+Site = Union[str, Callable[[], str], None]
 
 
 class MemorySafetyViolation(Exception):
@@ -123,30 +127,22 @@ class Memory:
     def region_of(self, pointer: Pointer) -> Region:
         return self.regions[pointer.region]
 
-    def load(self, pointer: Pointer, index: int, site: Optional[str] = None) -> int:
+    def load(self, pointer: Pointer, index: int, site: Site = None) -> int:
         region = self.regions[pointer.region]
         if 0 <= index < region.size:
             return region.cells[index]
-        violation = AccessViolation("load", region.name, index, region.size, site)
-        self._report(violation)
+        self._report("load", region, index, site)
         # Deterministic "garbage" so permissive runs are reproducible.
         return (region.base + index * WORD_BYTES) & 0xFF
 
     def store(
-        self, pointer: Pointer, index: int, value: int, site: Optional[str] = None
+        self, pointer: Pointer, index: int, value: int, site: Site = None
     ) -> None:
         region = self.regions[pointer.region]
-        if 0 <= index < region.size:
-            if not region.writable:
-                violation = AccessViolation(
-                    "store", region.name, index, region.size, site
-                )
-                self._report(violation)
-                return
+        if 0 <= index < region.size and region.writable:
             region.cells[index] = value
             return
-        violation = AccessViolation("store", region.name, index, region.size, site)
-        self._report(violation)
+        self._report("store", region, index, site)
 
     def address_of(self, pointer: Pointer, index: int) -> int:
         """Byte address of an access (even an OOB one), for the cache model."""
@@ -160,7 +156,10 @@ class Memory:
     def snapshot(self, pointer: Pointer) -> list[int]:
         return list(self.regions[pointer.region].cells)
 
-    def _report(self, violation: AccessViolation) -> None:
+    def _report(self, kind: str, region: Region, index: int, site: Site) -> None:
+        if callable(site):
+            site = site()
+        violation = AccessViolation(kind, region.name, index, region.size, site)
         self.violations.append(violation)
         if self.strict:
             raise MemorySafetyViolation(violation)

@@ -31,6 +31,15 @@ so almost every line is read by splitting it at those fixed separators.
 A line the reader does not accept is tokenised once, cut into statements
 and re-rendered in printer shape (:func:`_pieces`), and each piece goes
 through the same reader; a piece it still rejects is a syntax error.
+
+Parses of texts that repeat one another can share a statement table
+(``parse_module(..., statements=table)``): a body line read once is not
+read again, and every module that holds it gets the same instruction
+object.  The variants of one build record share a table this way
+(:func:`repro.artifacts.build.parse_variant`).  Sharing is safe because
+instructions, terminators and values are frozen dataclasses, and no code
+keys on an instruction's identity.  Functions and blocks, which passes mutate, are never shared:
+headers, labels, ``}`` and globals are read fresh every time.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import re
 import string
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 from repro.ir.function import PARAM_KINDS, Function, Param
 from repro.ir.instructions import (
@@ -48,12 +57,14 @@ from repro.ir.instructions import (
     Call,
     CtSel,
     Expr,
+    Instruction,
     Jmp,
     Load,
     Mov,
     Phi,
     Ret,
     Store,
+    Terminator,
     UnaryExpr,
 )
 from repro.ir.module import GlobalArray, Module
@@ -205,6 +216,10 @@ def _header(line: str) -> Function:
     return Function(_label(name), params, sensitive_params=tuple(secret))
 
 
+#: What one body line holds.
+Statement = Optional[Union[Instruction, Terminator]]
+
+
 class _Reader:
     """Builds a module from printer-shaped statements, one at a time."""
 
@@ -215,48 +230,67 @@ class _Reader:
         self.function: Optional[Function] = None
         self.block = None
 
-    def read(self, line: str) -> None:
-        """Add one statement, or raise ValueError and add nothing."""
+    def read(self, line: str) -> Statement:
+        """Add one statement, or raise ValueError and add nothing.
+
+        Returns the instruction or terminator the line held, or None for a
+        global, a function header, a block label or a ``}``.
+        """
         function = self.function
         if function is None:
             if line.startswith("func @"):
                 self.function = _header(line)
             else:
                 self.module.add_global(_global(line))
-            return
+            return None
         block = self.block
         if line == "}":
             if block is not None:
                 raise ValueError(f"block {block.label} lacks a terminator")
             self.module.add_function(function)
             self.function = None
-            return
+            return None
         if block is None:
             if not line.endswith(":"):
                 raise ValueError(f"expected a block label, found {line!r}")
             self.block = function.add_block(_label(line[:-1]))
-            return
+            return None
         head, _, rest = line.partition(" ")
         terminator = _TERMINATORS.get(head)
         if terminator is not None:
-            block.terminator = terminator(rest)
+            statement = block.terminator = terminator(rest)
             self.block = None
-        elif head == "store":
+            return statement
+        if head == "store":
             value, comma, access = rest.partition(", ")
             if not comma:
                 raise ValueError(f"malformed store {line!r}")
             array, index = _access(access)
-            block.append(Store(_value(value), array, index))
-        elif rest[:2] == "= ":
+            return block.append(Store(_value(value), array, index))
+        if rest[:2] == "= ":
             op, _, operands = rest[2:].partition(" ")
             assignment = _ASSIGNMENTS.get(op)
             if assignment is None:
                 raise ValueError(f"unknown instruction {op!r}")
-            block.append(assignment(_label(head), operands))
-        elif head == "call":
-            block.append(_call(None, rest))
+            return block.append(assignment(_label(head), operands))
+        if head == "call":
+            return block.append(_call(None, rest))
+        raise ValueError(f"expected an instruction, found {line!r}")
+
+    def reuse(self, statement: Statement) -> bool:
+        """Add a statement read earlier to the open block.
+
+        Returns False, and adds nothing, when no block is open.
+        """
+        block = self.block
+        if block is None:
+            return False
+        if isinstance(statement, Terminator):
+            block.terminator = statement
+            self.block = None
         else:
-            raise ValueError(f"expected an instruction, found {line!r}")
+            block.instructions.append(statement)
+        return True
 
 
 # -- free-form lines ---------------------------------------------------------
@@ -351,21 +385,40 @@ def _last_statement_line(lines: list[str]) -> int:
     return 0
 
 
-def parse_module(text: str, name: str = "module") -> Module:
-    """Parse a whole module from its textual form."""
+def parse_module(
+    text: str,
+    name: str = "module",
+    statements: Optional[dict] = None,
+) -> Module:
+    """Parse a whole module from its textual form.
+
+    ``statements``, when given, maps a printed line to the instruction or
+    terminator read from it.  A line found there inside an open block is
+    not read again: the module gets the same object.  Each body line read
+    in printer shape is added to it, so the table can be handed to the
+    next parse of a text that repeats those lines.
+    """
     reader = _Reader(name)
     read = reader.read
+    reuse = reader.reuse
     lines = text.split("\n")
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
+    for number, raw in enumerate(lines, 1):
+        if statements is not None:
+            statement = statements.get(raw)
+            if statement is not None and reuse(statement):
+                continue
+        line = raw.strip()
         if not line:
             continue
         if ";" not in line and "#" not in line:
             try:
-                read(line)
-                continue
+                statement = read(line)
             except ValueError:
                 pass
+            else:
+                if statement is not None and statements is not None:
+                    statements[raw] = statement
+                continue
         try:
             for piece in _pieces(line):
                 read(piece)

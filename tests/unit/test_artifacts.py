@@ -115,6 +115,66 @@ class TestBuild:
             ).sensitive_params
 
 
+class TestSharedStatements:
+    """``parse_variant`` parses each distinct line once per record."""
+
+    def test_variants_print_like_a_plain_parse(self, tmp_path):
+        from repro.artifacts import parse_variant
+        from repro.ir import module_to_str, parse_module
+
+        store = ArtifactStore(tmp_path)
+        build_artifacts(_request("tea"), store=store)
+        warm = build_artifacts(_request("tea"), store=store)
+        assert len(warm.ir) == 6
+        for variant, text in warm.ir.items():
+            module = parse_variant(warm, variant)
+            plain = parse_module(text, name=warm.module_names[variant])
+            assert module.name == plain.name
+            assert module_to_str(module) == module_to_str(plain) == text
+
+    def test_later_variants_reuse_earlier_statements(self):
+        from repro.artifacts import parse_variant
+
+        built = build_artifacts(_request("tea"), store=None)
+        seen: dict = {}
+        shared = 0
+        for variant in built.ir:
+            module = parse_variant(built, variant)
+            for function in module.functions.values():
+                for block in function.blocks.values():
+                    for statement in (*block.instructions, block.terminator):
+                        line = f"  {statement}"
+                        if line in seen:
+                            assert statement is seen[line], (variant, line)
+                            shared += 1
+                        else:
+                            seen[line] = statement
+        assert shared > len(seen)
+
+    def test_table_is_not_saved_compared_or_shown(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.artifacts import parse_variant
+
+        built = build_artifacts(_request("otdt"), store=None)
+        before, after = ArtifactStore(tmp_path / "a"), ArtifactStore(tmp_path / "b")
+        before.save(built)
+        for variant in built.ir:
+            parse_variant(built, variant)
+        assert built.statements
+        after.save(built)
+        entry = f"{built.key[:2]}/{built.key}"
+        for name in ["meta.json"] + [f"{v}.ir" for v in built.ir]:
+            assert (tmp_path / "b" / entry / name).read_bytes() == (
+                tmp_path / "a" / entry / name
+            ).read_bytes(), name
+        fresh = replace(built)
+        assert fresh.statements == {}
+        assert fresh == built
+        assert repr(fresh) == repr(built)
+        assert "statements" not in repr(built)
+
+
 class TestCertificationMatrix:
     VARIANTS = ("original", "original_o1", "repaired", "repaired_o1")
 

@@ -142,6 +142,21 @@ class TestVerify:
         assert "covenant holds      : True" in out
 
 
+class TestSuite:
+    def test_summary_names_the_worker_count_used(self, monkeypatch, tmp_path,
+                                                 capsys):
+        from repro.bench.runner import clear_artifact_memo
+
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        try:
+            assert main(["suite", "tea"]) == 0
+        finally:
+            clear_artifact_memo()
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.endswith("(0 cached, jobs=1)")
+
+
 class TestInputErrors:
     """Bad input or a bad knob: one ``lif:`` line on stderr and exit 2."""
 

@@ -205,6 +205,42 @@ class TestErrors:
                      "f", [[1]], strict_memory=False)
         assert len(result.violations) == 1
 
+    VIOLATING = ("func @f(a: ptr) {\nentry:\n  x = load a[5]\n"
+                 "  store x, a[3]\n  ret x\n}\n")
+
+    def test_strict_violation_message(self):
+        with pytest.raises(MemorySafetyViolation) as excinfo:
+            run(self.VIOLATING, "f", [[1]])
+        assert str(excinfo.value) == (
+            "out-of-bounds load of arg:a[5] (size 1) at f:x = load a[5]"
+        )
+        assert excinfo.value.access.site == "f:x = load a[5]"
+
+    def test_permissive_violation_messages(self):
+        result = run(self.VIOLATING, "f", [[1]], strict_memory=False)
+        assert [str(v) for v in result.violations] == [
+            "out-of-bounds load of arg:a[5] (size 1) at f:x = load a[5]",
+            "out-of-bounds store of arg:a[3] (size 1) at f:store x, a[3]",
+        ]
+
+    def test_in_bounds_accesses_render_no_site(self, monkeypatch):
+        from repro.ir.instructions import Load, Store
+
+        rendered = []
+
+        def counting(render):
+            def counted(instr):
+                rendered.append(instr)
+                return render(instr)
+            return counted
+
+        for cls in (Load, Store):
+            monkeypatch.setattr(cls, "__str__", counting(cls.__str__))
+        in_bounds = self.VIOLATING.replace("a[5]", "a[0]").replace(
+            "a[3]", "a[0]")
+        assert run(in_bounds, "f", [[1]]).value == 1
+        assert rendered == []
+
     def test_wrapping_of_argument_words(self):
         result = run("func @f(a: int) { entry: ret a }", "f", [2**64 + 5])
         assert result.value == 5

@@ -190,3 +190,44 @@ class TestErrors:
             parse_function(
                 "func @f() { entry: ret 0 } func @g() { entry: ret 0 }"
             )
+
+
+class TestStatementTable:
+    """``parse_module(..., statements=table)`` reuses statements by line."""
+
+    FIRST = "func @f(a: int) {\nentry:\n  x = mov a + 1\n  ret x\n}\n"
+
+    def _table(self) -> dict:
+        table: dict = {}
+        parse_module(self.FIRST, statements=table)
+        return table
+
+    def test_only_body_statements_are_memoised(self):
+        table = self._table()
+        assert set(table) == {"  x = mov a + 1", "  ret x"}
+
+    def test_a_later_text_shares_the_statement_objects(self):
+        table = self._table()
+        text = ("func @g(a: int, b: int) {\nentry:\n  x = mov a + 1\n"
+                "  y = mov x * b\n  ret x\n}\n")
+        module = parse_module(text, statements=table)
+        block = module.function("g").entry
+        assert block.instructions[0] is table["  x = mov a + 1"]
+        assert block.terminator is table["  ret x"]
+        assert block.instructions[1] is table["  y = mov x * b"]
+        assert module_to_str(module) == module_to_str(parse_module(text))
+
+    @pytest.mark.parametrize("text, line", [
+        ("func @f(a: int) {\nentry:\n  ret x\n  x = mov a + 1\n}\n", 4),
+        ("func @f(a: int) {\nentry:\n  ret x\n  ret x\n}\n", 4),
+        ("func @f(a: int) {\n  x = mov a + 1\nentry:\n  ret x\n}\n", 2),
+        ("  x = mov a + 1\n", 1),
+    ], ids=["after-terminator", "terminator-twice", "before-label",
+            "outside-function"])
+    def test_memoised_line_outside_a_block_is_an_error(self, text, line):
+        with pytest.raises(IRSyntaxError) as plain:
+            parse_module(text)
+        with pytest.raises(IRSyntaxError) as shared:
+            parse_module(text, statements=self._table())
+        assert shared.value.line == plain.value.line == line
+        assert str(shared.value) == str(plain.value)

@@ -68,6 +68,33 @@ class TestStrictMode:
             memory.load(pointer, -1)
 
 
+class TestSites:
+    def test_callable_site_is_rendered_only_on_a_violation(self):
+        calls = []
+
+        def site():
+            calls.append(1)
+            return "f:x = load buf[i]"
+
+        memory = Memory(strict=False)
+        pointer = memory.allocate("buf", 2)
+        memory.load(pointer, 1, site)
+        memory.store(pointer, 0, 3, site)
+        assert calls == []
+        memory.load(pointer, 2, site)
+        assert calls == [1]
+        assert memory.violations[0].site == "f:x = load buf[i]"
+
+    def test_read_only_store_is_reported_and_dropped(self):
+        memory = Memory(strict=False)
+        pointer = memory.allocate("rom", 2, [4, 5], writable=False)
+        memory.store(pointer, 1, 9, "f:store 9, rom[1]")
+        assert memory.snapshot(pointer) == [4, 5]
+        assert [str(v) for v in memory.violations] == [
+            "out-of-bounds store of rom[1] (size 2) at f:store 9, rom[1]"
+        ]
+
+
 class TestPermissiveMode:
     def test_oob_load_returns_deterministic_garbage(self):
         memory = Memory(strict=False)
