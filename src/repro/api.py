@@ -12,20 +12,16 @@ from typing import Optional, Sequence
 from repro.ir.module import Module
 
 
-def compile_minic(
-    source: str,
-    name: str = "module",
-    unroll: bool = True,
-) -> Module:
+def compile_minic(source: str, name: str = "module") -> Module:
     """Compile MiniC source text to an IR module.
 
-    When ``unroll`` is true (the default), bounded loops are fully unrolled
-    and the result is validated to be acyclic — the preprocessing the repair
-    pass requires (paper Section III-A).
+    Bounded loops are fully unrolled and the result is validated to be
+    acyclic — the preprocessing the repair pass requires (paper Section
+    III-A).
     """
     from repro.frontend import compile_source
 
-    return compile_source(source, name=name, unroll=unroll)
+    return compile_source(source, name=name)
 
 
 def repair_module(

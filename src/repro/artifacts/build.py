@@ -64,8 +64,9 @@ class BuiltArtifacts:
     sce_stats: Optional[dict] = None
     sce_error: Optional[str] = None
     sce_correct: Optional[bool] = None
-    #: stage -> wall-clock seconds (parse, unroll, codegen, repair, sce,
-    #: opt, check, print).
+    #: stage -> wall-clock seconds (parse, codegen, validate, repair, sce,
+    #: opt, check, certify, print); the record's only wall-clock field
+    #: besides ``opt_pass_stats["pass_seconds"]``.
     timings: dict = field(default_factory=dict)
     instruction_counts: dict = field(default_factory=dict)
     #: Aggregated optimiser telemetry across this build's ``optimize`` calls
@@ -139,9 +140,12 @@ def outputs_match(
 
 
 def _stats_dict(stats) -> dict:
+    """A stats record without its ``seconds``, which ``timings`` holds."""
     from dataclasses import asdict
 
-    return asdict(stats)
+    record = asdict(stats)
+    del record["seconds"]
+    return record
 
 
 def build_artifacts(request: BuildRequest, store=None) -> BuiltArtifacts:
@@ -183,7 +187,6 @@ def _build_impl(request: BuildRequest, key: str) -> BuiltArtifacts:
     from repro.core.repair import RepairOptions, RepairStats, repair_module
     from repro.frontend.codegen import generate_module
     from repro.frontend.parser import parse_source
-    from repro.frontend.unroll import unroll_program
     from repro.ir.printer import module_to_str
     from repro.ir.validate import validate_module
     from repro.opt.pipeline import OptReport, optimize
@@ -198,7 +201,6 @@ def _build_impl(request: BuildRequest, key: str) -> BuiltArtifacts:
         return result
 
     program = timed("parse", lambda: parse_source(request.source))
-    program = timed("unroll", lambda: unroll_program(program))
     original = timed("codegen", lambda: generate_module(program, request.name))
     timed("validate", lambda: validate_module(original))
 

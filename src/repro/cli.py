@@ -31,7 +31,12 @@ from pathlib import Path
 from repro.analysis import classify_data_consistency
 from repro.core import RepairOptions, RepairStats, repair_module
 from repro.exec import BACKENDS, make_executor, resolve_backend
-from repro.frontend import MiniCSyntaxError, UnrollError, compile_source
+from repro.frontend import (
+    CodegenError,
+    MiniCSyntaxError,
+    UnrollError,
+    compile_source,
+)
 from repro.ir import IRSyntaxError, module_to_str, parse_module
 from repro.obs import KnobError
 from repro.opt import optimize
@@ -851,8 +856,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IRSyntaxError, MiniCSyntaxError, UnrollError, IRUnrollError,
-            KnobError) as error:
+    except (IRSyntaxError, MiniCSyntaxError, CodegenError, UnrollError,
+            IRUnrollError, KnobError) as error:
         # Bad input or a bad knob: one line, no traceback.  Anything
         # else is a bug and keeps its traceback.
         sys.stderr.write(f"lif: {error}\n")

@@ -1206,7 +1206,8 @@ class BatchExecutor:
             pointers = {}
             for array in self.module.globals.values():
                 pointers[array.name] = memory.allocate(
-                    f"@{array.name}", array.size, array.initial_contents()
+                    f"@{array.name}", array.size, array.initial_contents(),
+                    writable=not array.const,
                 )
             gptrs.append(pointers)
 

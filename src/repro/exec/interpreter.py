@@ -158,7 +158,8 @@ class Interpreter:
         global_pointers: dict[str, Pointer] = {}
         for array in self.module.globals.values():
             global_pointers[array.name] = memory.allocate(
-                f"@{array.name}", array.size, array.initial_contents()
+                f"@{array.name}", array.size, array.initial_contents(),
+                writable=not array.const,
             )
 
         trace = Trace() if self.record_trace else None

@@ -24,7 +24,8 @@ Site = Union[str, Callable[[], str], None]
 
 
 class MemorySafetyViolation(Exception):
-    """An out-of-bounds access detected in strict mode."""
+    """An out-of-bounds access, or a store into a read-only region,
+    detected in strict mode."""
 
     def __init__(self, access: "AccessViolation") -> None:
         super().__init__(str(access))
@@ -33,7 +34,8 @@ class MemorySafetyViolation(Exception):
 
 @dataclass(frozen=True)
 class AccessViolation:
-    """Record of one out-of-bounds access."""
+    """Record of one out-of-bounds access, or of an in-bounds store into a
+    read-only region (a ``const`` global)."""
 
     kind: str  # "load" or "store"
     region: str
@@ -43,8 +45,9 @@ class AccessViolation:
 
     def __str__(self) -> str:
         where = f" at {self.site}" if self.site else ""
+        fault = "read-only" if 0 <= self.index < self.size else "out-of-bounds"
         return (
-            f"out-of-bounds {self.kind} of {self.region}[{self.index}] "
+            f"{fault} {self.kind} of {self.region}[{self.index}] "
             f"(size {self.size}){where}"
         )
 
@@ -84,13 +87,13 @@ class Memory:
     """All regions of one execution, with strict or permissive OOB handling.
 
     * strict mode (the default) raises :class:`MemorySafetyViolation` on the
-      first out-of-bounds access — the behaviour a memory-safe language
-      runtime would have;
+      first out-of-bounds access or store into a read-only region — the
+      behaviour a memory-safe language runtime would have;
     * permissive mode emulates C: OOB reads return an unspecified value
       (deterministically derived from the address so runs are repeatable),
-      OOB writes are dropped, and every violation is recorded.  Permissive
-      mode lets us *run* the memory-unsafe code the baseline produces and
-      count its violations.
+      OOB and read-only writes are dropped, and every violation is
+      recorded.  Permissive mode lets us *run* the memory-unsafe code the
+      baseline produces and count its violations.
     """
 
     strict: bool = True

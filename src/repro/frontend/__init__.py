@@ -3,27 +3,22 @@
 from repro.frontend.codegen import CodegenError, generate_module
 from repro.frontend.lexer import MiniCSyntaxError, tokenize
 from repro.frontend.parser import parse_source
-from repro.frontend.unroll import UnrollError, const_eval, unroll_program
+from repro.frontend.unroll import UnrollError, const_eval
 from repro.ir.module import Module
 from repro.ir.validate import validate_module
 from repro.obs import OBS
 
 
-def compile_source(source: str, name: str = "module", unroll: bool = True) -> Module:
+def compile_source(source: str, name: str = "module") -> Module:
     """Compile MiniC source text to a validated IR module.
 
-    ``unroll=True`` (default) fully unrolls every loop, the shape the repair
-    pass requires; ``unroll=False`` is only useful for inspecting the
-    pre-unroll AST-to-IR lowering in tests.
-
-    With tracing enabled (``REPRO_TRACE``), each stage — parse, unroll,
-    SSA construction (codegen), validation — is timed as a span.
+    Every loop is fully unrolled during code generation, the shape the
+    repair pass requires.  With tracing enabled (``REPRO_TRACE``), each
+    stage — parse, SSA construction with unrolling (codegen), validation —
+    is timed as a span.
     """
     with OBS.span("frontend.parse", module=name):
         program = parse_source(source)
-    if unroll:
-        with OBS.span("frontend.unroll", module=name):
-            program = unroll_program(program)
     with OBS.span("frontend.codegen", module=name):
         module = generate_module(program, name)
     with OBS.span("frontend.validate", module=name):
@@ -40,5 +35,4 @@ __all__ = [
     "generate_module",
     "parse_source",
     "tokenize",
-    "unroll_program",
 ]

@@ -139,8 +139,8 @@ class If:
 class For:
     """``for (var = init; var OP bound; var = var STEP_OP step) body``.
 
-    Fully unrolled before code generation; the unroller checks that the
-    header is statically evaluable.
+    Fully unrolled by code generation, which checks that the header is
+    statically evaluable before it compiles the first copy of the body.
     """
 
     var: str

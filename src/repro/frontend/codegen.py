@@ -1,10 +1,15 @@
 """MiniC → IR code generation with on-the-fly SSA construction.
 
-Because loops are fully unrolled before code generation, the only control
-flow left is structured ``if``/``else``; SSA form then falls out of a
-classic environment-merging scheme: each branch is compiled against a copy
-of the scalar environment and the join block receives one phi per scalar
-whose value differs between the branches.
+Loops are fully unrolled as they are lowered: a ``for`` compiles its body
+once per trip, reading the loop counter as that trip's literal value and
+each local declared in the body under a fresh per-copy name
+(``name.uN``, numbered per function in declaration order).  A statically
+decided ``if`` compiles only its taken arm, and code after a ``return``
+is not compiled at all, so loops in dead code are never unrolled or
+checked.  The only control flow left is structured ``if``/``else``; SSA
+form then falls out of a classic environment-merging scheme: each branch
+is compiled against a copy of the scalar environment and the join block
+receives one phi per scalar whose value differs between the branches.
 
 Width semantics: ``u8``/``u32`` values are masked to their width after
 widening arithmetic (``+ - * << ~`` and unary ``-``), on stores, and on
@@ -19,7 +24,14 @@ from typing import Optional, Union
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import MiniCSyntaxError
-from repro.frontend.unroll import const_eval
+from repro.frontend.unroll import (
+    MAX_STATEMENTS,
+    MAX_TRIP_COUNT,
+    Substitution,
+    UnrollError,
+    const_eval,
+    trip_values,
+)
 from repro.ir.ops import eval_binop, eval_unop, wrap
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Function, Param
@@ -94,6 +106,10 @@ class _FunctionCodegen:
             g.name: ArrayBinding(Var(g.name), global_elem_types[g.name], g.size)
             for g in module.globals.values()
         }
+        #: The current unrolled copy's loop counters and renamed locals.
+        self.names: Substitution = {}
+        self._renamed = 0  # per-function ``.uN`` counter
+        self._emitted = 0  # statements compiled, against MAX_STATEMENTS
 
     # -- entry point ----------------------------------------------------------
 
@@ -119,7 +135,7 @@ class _FunctionCodegen:
         self, statements: tuple[ast.Statement, ...], env: dict[str, Binding]
     ) -> bool:
         """Compile into the current block; returns True if control returned."""
-        for index, statement in enumerate(statements):
+        for statement in statements:
             if self._compile_statement(statement, env):
                 return True  # anything after a return is dead code
         return False
@@ -127,56 +143,84 @@ class _FunctionCodegen:
     def _compile_statement(
         self, statement: ast.Statement, env: dict[str, Binding]
     ) -> bool:
+        if isinstance(statement, ast.For):
+            return self._compile_for(statement, env)
+        if isinstance(statement, ast.If):
+            try:
+                taken = const_eval(statement.cond, self.names) != 0
+            except UnrollError:
+                pass
+            else:
+                # Statically decided by the loop counters (common at unrolled
+                # loop edges, e.g. the min() guards of the paper's Fig. 2).
+                branch = statement.then_body if taken else statement.else_body
+                return self._compile_statements(branch, env)
+
+        self._emitted += 1
+        if self._emitted > MAX_STATEMENTS:
+            raise UnrollError(
+                f"unrolling exceeded {MAX_STATEMENTS} statements; "
+                "the loop structure is too large to isochronify"
+            )
+
         if isinstance(statement, ast.Decl):
-            self._check_fresh(statement.name, env, statement.line)
+            name = self._rename(statement.name)
+            self._check_fresh(name, env, statement.line)
             if statement.init is not None:
                 value, value_type = self._compile_expr(statement.init, env)
                 value = self._mask(value, statement.type_name)
             else:
                 value = Const(0)
-            env[statement.name] = ScalarBinding(value, statement.type_name)
+            env[name] = ScalarBinding(value, statement.type_name)
             return False
 
         if isinstance(statement, ast.ArrayDecl):
-            self._check_fresh(statement.name, env, statement.line)
+            name = self._rename(statement.name)
+            self._check_fresh(name, env, statement.line)
             size = self._const(statement.size, statement.line, "array size")
             if size <= 0:
                 raise CodegenError(
-                    f"line {statement.line}: array '{statement.name}' must have "
+                    f"line {statement.line}: array '{name}' must have "
                     "positive size"
                 )
             pointer = self.builder.alloc(Const(size), dest=self.builder.fresh(
-                statement.name
+                name
             ))
             if len(statement.init) > size:
                 raise CodegenError(
                     f"line {statement.line}: too many initialisers for "
-                    f"'{statement.name}'"
+                    f"'{name}'"
                 )
             for position, init_expr in enumerate(statement.init):
                 value, _ = self._compile_expr(init_expr, env)
                 value = self._mask(value, statement.elem_type)
                 self.builder.store(value, pointer, Const(position))
-            env[statement.name] = ArrayBinding(pointer, statement.elem_type, size)
+            env[name] = ArrayBinding(pointer, statement.elem_type, size)
             return False
 
         if isinstance(statement, ast.Assign):
-            binding = self._lookup(statement.name, env, statement.line)
+            if isinstance(self.names.get(statement.name), int):
+                raise UnrollError(
+                    f"line {statement.line}: assignment to loop counter "
+                    f"'{statement.name}' inside the loop body"
+                )
+            name = self._rename(statement.name)
+            binding = self._lookup(name, env, statement.line)
             if not isinstance(binding, ScalarBinding):
                 raise CodegenError(
-                    f"line {statement.line}: cannot assign to array "
-                    f"'{statement.name}'"
+                    f"line {statement.line}: cannot assign to array '{name}'"
                 )
             value, _ = self._compile_expr(statement.value, env)
             value = self._mask(value, binding.type_name)
-            env[statement.name] = ScalarBinding(value, binding.type_name)
+            env[name] = ScalarBinding(value, binding.type_name)
             return False
 
         if isinstance(statement, ast.StoreStmt):
-            binding = self._lookup(statement.array, env, statement.line)
+            array = self._rename(statement.array)
+            binding = self._lookup(array, env, statement.line)
             if not isinstance(binding, ArrayBinding):
                 raise CodegenError(
-                    f"line {statement.line}: '{statement.array}' is not an array"
+                    f"line {statement.line}: '{array}' is not an array"
                 )
             index, _ = self._compile_expr(statement.index, env)
             value, _ = self._compile_expr(statement.value, env)
@@ -196,13 +240,56 @@ class _FunctionCodegen:
 
         if isinstance(statement, ast.If):
             return self._compile_if(statement, env)
-
-        if isinstance(statement, ast.For):
-            raise CodegenError(
-                f"line {statement.line}: loops must be unrolled before code "
-                "generation (compile with unroll=True)"
-            )
         raise TypeError(f"unknown statement {statement!r}")
+
+    def _compile_for(self, loop: ast.For, env: dict[str, Binding]) -> bool:
+        """Unroll: compile the body once per trip into the current block.
+
+        The header, the step and the trip limit are checked before the
+        first copy is compiled.
+        """
+        try:
+            start = const_eval(loop.init, self.names)
+            bound = const_eval(loop.bound, self.names)
+            step = const_eval(loop.step, self.names)
+        except UnrollError as error:
+            raise UnrollError(
+                f"line {loop.line}: cannot unroll loop over '{loop.var}': {error}"
+            ) from None
+        if step == 0:
+            raise UnrollError(
+                f"line {loop.line}: loop over '{loop.var}' has a zero step"
+            )
+        # Locals declared in the body are fresh in every iteration (C block
+        # scope): alpha-rename them per copy so SSA construction stays exact.
+        body_locals = _declared_names(loop.body)
+        if loop.var in body_locals:
+            raise UnrollError(
+                f"line {loop.line}: declaration of '{loop.var}' shadows the "
+                "loop counter"
+            )
+        counters = trip_values(
+            start, loop.cond_op, bound,
+            step if loop.step_op == "+" else -step,
+            lambda: UnrollError(
+                f"line {loop.line}: loop over '{loop.var}' exceeds "
+                f"{MAX_TRIP_COUNT} iterations"
+            ),
+        )
+        outer = self.names
+        returned = False
+        for counter in counters:
+            names = dict(outer)
+            names[loop.var] = counter
+            for local in body_locals:
+                self._renamed += 1
+                names[local] = f"{local}.u{self._renamed}"
+            self.names = names
+            if self._compile_statements(loop.body, env):
+                returned = True  # later copies are dead code
+                break
+        self.names = outer
+        return returned
 
     def _compile_if(self, statement: ast.If, env: dict[str, Binding]) -> bool:
         cond, _ = self._compile_expr(statement.cond, env)
@@ -282,10 +369,13 @@ class _FunctionCodegen:
             return Const(expr.value), "lit"
 
         if isinstance(expr, ast.Name):
-            binding = self._lookup(expr.ident, env, expr.line)
+            target = self.names.get(expr.ident, expr.ident)
+            if isinstance(target, int):  # a loop counter
+                return Const(target), "lit"
+            binding = self._lookup(target, env, expr.line)
             if isinstance(binding, ArrayBinding):
                 raise CodegenError(
-                    f"line {expr.line}: array '{expr.ident}' used as a scalar"
+                    f"line {expr.line}: array '{target}' used as a scalar"
                 )
             return binding.value, binding.type_name
 
@@ -317,10 +407,11 @@ class _FunctionCodegen:
             return self.builder.ctsel(cond, true_value, false_value), result_type
 
         if isinstance(expr, ast.Index):
-            binding = self._lookup(expr.array, env, expr.line)
+            array = self._rename(expr.array)
+            binding = self._lookup(array, env, expr.line)
             if not isinstance(binding, ArrayBinding):
                 raise CodegenError(
-                    f"line {expr.line}: '{expr.array}' is not an array"
+                    f"line {expr.line}: '{array}' is not an array"
                 )
             index, _ = self._compile_expr(expr.index, env)
             loaded = self.builder.load(binding.pointer, index)
@@ -396,15 +487,19 @@ class _FunctionCodegen:
         args: list[Value] = []
         for param, arg in zip(signature.params, expr.args):
             if param.is_pointer:
-                if not isinstance(arg, ast.Name):
+                array = (
+                    self.names.get(arg.ident, arg.ident)
+                    if isinstance(arg, ast.Name) else None
+                )
+                if not isinstance(array, str):  # not a name, or a counter
                     raise CodegenError(
                         f"line {expr.line}: pointer argument "
                         f"'{param.name}' must be an array name"
                     )
-                binding = self._lookup(arg.ident, env, expr.line)
+                binding = self._lookup(array, env, expr.line)
                 if not isinstance(binding, ArrayBinding):
                     raise CodegenError(
-                        f"line {expr.line}: '{arg.ident}' is not an array"
+                        f"line {expr.line}: '{array}' is not an array"
                     )
                 args.append(binding.pointer)
             else:
@@ -437,9 +532,18 @@ class _FunctionCodegen:
 
     def _const(self, expr: ast.Expression, line: int, what: str) -> int:
         try:
-            return const_eval(expr)
+            return const_eval(expr, self.names)
         except Exception as error:
             raise CodegenError(f"line {line}: {what}: {error}") from None
+
+    def _rename(self, name: str) -> str:
+        """The name a variable has in the current unrolled copy."""
+        target = self.names.get(name, name)
+        if isinstance(target, int):
+            raise UnrollError(
+                f"loop counter '{name}' used where a variable name is required"
+            )
+        return target
 
     def _lookup(
         self, name: str, env: dict[str, Binding], line: int
@@ -457,8 +561,22 @@ class _FunctionCodegen:
             raise CodegenError(f"line {line}: redefinition of '{name}'")
 
 
+def _declared_names(statements: tuple[ast.Statement, ...]) -> dict[str, None]:
+    """Names declared anywhere in a statement list, in declaration order."""
+    declared: dict[str, None] = {}
+    for statement in statements:
+        if isinstance(statement, (ast.Decl, ast.ArrayDecl)):
+            declared[statement.name] = None
+        elif isinstance(statement, ast.If):
+            declared |= _declared_names(statement.then_body)
+            declared |= _declared_names(statement.else_body)
+        elif isinstance(statement, ast.For):
+            declared |= _declared_names(statement.body)
+    return declared
+
+
 def generate_module(program: ast.Program, name: str = "module") -> Module:
-    """Lower a (loop-free) MiniC program to an IR module."""
+    """Lower a MiniC program to an IR module, unrolling every loop."""
     module = Module(name)
     global_elem_types: dict[str, str] = {}
     for global_decl in program.globals:

@@ -1,8 +1,9 @@
 """IR-level full unrolling of counted natural loops.
 
-The MiniC front end unrolls at the AST level; this pass provides the same
-preprocessing for programs written directly in the IR (the paper's pipeline
-unrolls at the LLVM level).  Scope — the *counted natural loop*:
+The MiniC front end unrolls while it generates code; this pass provides
+the same preprocessing for programs written directly in the IR (the
+paper's pipeline unrolls at the LLVM level).  Scope — the *counted natural
+loop*:
 
 * a back edge ``latch → header`` where the header dominates the latch;
 * the header holds the induction phi ``i = phi [init, preheader],
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.dominators import compute_dominators
+from repro.frontend.unroll import MAX_TRIP_COUNT, trip_values
 from repro.ir.cfg import predecessor_map, remove_unreachable_blocks
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
@@ -38,11 +40,8 @@ from repro.ir.instructions import (
     substitute_expr,
 )
 from repro.ir.module import Module
-from repro.ir.ops import eval_binop, wrap
+from repro.ir.ops import wrap
 from repro.ir.values import Const, Value, Var
-
-#: Safety cap on a single loop's trip count, matching the AST unroller.
-MAX_TRIP_COUNT = 1 << 16
 
 
 class IRUnrollError(ValueError):
@@ -235,34 +234,14 @@ def _find_def(block: BasicBlock, name: str) -> Optional[Instruction]:
 # -- unrolling -------------------------------------------------------------------
 
 
-def _trip_values(loop: _CountedLoop) -> list[int]:
-    compare = {
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-        "!=": lambda a, b: a != b,
-        "==": lambda a, b: a == b,
-    }[loop.predicate_op]
-
-    def continues(value: int) -> bool:
-        result = compare(value, loop.bound)
-        return not result if loop.negate else result
-
-    values = []
-    current = loop.init
-    while continues(current):
-        values.append(current)
-        current = wrap(current + loop.step)
-        if len(values) > MAX_TRIP_COUNT:
-            raise IRUnrollError(
-                f"loop at {loop.header} exceeds {MAX_TRIP_COUNT} iterations"
-            )
-    return values
-
-
 def _unroll_loop(function: Function, loop: _CountedLoop) -> None:
-    values = _trip_values(loop)
+    values = trip_values(
+        loop.init, loop.predicate_op, loop.bound, loop.step,
+        lambda: IRUnrollError(
+            f"loop at {loop.header} exceeds {MAX_TRIP_COUNT} iterations"
+        ),
+        negate=loop.negate,
+    )
     carried = [phi for phi in function.blocks[loop.header].phis()
                if phi.dest != loop.induction.dest]
 

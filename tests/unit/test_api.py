@@ -61,9 +61,3 @@ class TestApi:
             [[[1, 2], 2, [1, 2], 2], [[1, 2], 2, [9, 9], 2]],
         )
         assert clean.isochronous
-
-    def test_compile_without_unrolling(self):
-        module = compile_minic(
-            "uint f(uint x) { return x + 1; }", unroll=False
-        )
-        assert run_function(module, "f", [41]) == 42

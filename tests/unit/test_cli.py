@@ -169,7 +169,9 @@ class TestInputErrors:
                     "  for (uint i = 0; i < n; i = i + 1) { s = s + i; }\n"
                     "  return s;\n}\n",
          "lif: line 3: cannot unroll loop"),
-    ], ids=["ir-syntax", "minic-syntax", "unroll"])
+        ("undefined.mc", "uint f(uint a) { return b; }\n",
+         "lif: line 1: undefined variable 'b'"),
+    ], ids=["ir-syntax", "minic-syntax", "unroll", "codegen"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, name, text,
                                          message):
         path = tmp_path / name

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.exec import Memory, MemorySafetyViolation
+from repro.exec import BACKENDS, Memory, MemorySafetyViolation, make_executor
 from repro.exec.memory import _GUARD_WORDS
+from repro.ir import parse_module
 from repro.ir.ops import WORD_BYTES
 
 
@@ -91,7 +92,7 @@ class TestSites:
         memory.store(pointer, 1, 9, "f:store 9, rom[1]")
         assert memory.snapshot(pointer) == [4, 5]
         assert [str(v) for v in memory.violations] == [
-            "out-of-bounds store of rom[1] (size 2) at f:store 9, rom[1]"
+            "read-only store of rom[1] (size 2) at f:store 9, rom[1]"
         ]
 
 
@@ -124,3 +125,49 @@ class TestPermissiveMode:
         memory.store(pointer, 0, 99)
         assert memory.snapshot(pointer) == [1, 2]
         assert len(memory.violations) == 1
+
+
+class TestConstGlobals:
+    """Every backend allocates a ``const global`` read-only."""
+
+    SOURCE = """
+const global @tab[2] = [1, 2]
+global @out[1] = [0]
+
+func @f(x: int) {
+entry:
+  store x, tab[1]
+  store x, out[0]
+  v = load tab[1]
+  w = load out[0]
+  r = mov v + w
+  ret r
+}
+"""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_strict_store_raises(self, backend):
+        executor = make_executor(parse_module(self.SOURCE), backend=backend)
+        with pytest.raises(MemorySafetyViolation,
+                           match=r"^read-only store of @tab\[1\] \(size 2\)"):
+            executor.run("f", [7])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_permissive_store_is_recorded_and_dropped(self, backend):
+        executor = make_executor(
+            parse_module(self.SOURCE), backend=backend, strict_memory=False
+        )
+        result = executor.run("f", [7])
+        assert result.value == 2 + 7  # tab[1] kept its 2; out[0] took the 7
+        assert [(v.kind, v.region, v.index) for v in result.violations] == [
+            ("store", "@tab", 1)
+        ]
+        assert str(result.violations[0]).startswith("read-only store of @tab[1]")
+
+    def test_permissive_batch_lanes_drop_the_store(self):
+        executor = make_executor(
+            parse_module(self.SOURCE), backend="batch", strict_memory=False
+        )
+        results = executor.run_batch("f", [[7], [8]])
+        assert [r.value for r in results] == [9, 10]
+        assert [len(r.violations) for r in results] == [1, 1]

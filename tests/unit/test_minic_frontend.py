@@ -1,4 +1,4 @@
-"""MiniC lexer, parser, and unroller."""
+"""MiniC lexer, parser, and loop unrolling (done by code generation)."""
 
 import os
 import subprocess
@@ -7,15 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.frontend import (
     MiniCSyntaxError,
     UnrollError,
     compile_source,
     parse_source,
     tokenize,
-    unroll_program,
 )
 from repro.frontend import ast_nodes as ast
+from repro.ir.instructions import Alloc, Store
+from repro.ir.values import Const
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 class TestLexer:
@@ -98,8 +102,18 @@ class TestParser:
 
 
 class TestUnroller:
-    def unrolled(self, text: str):
-        return unroll_program(parse_source(text)).functions[0].body
+    @staticmethod
+    def compiled(text: str):
+        """The instructions of ``f``, which must compile to one block."""
+        (block,) = compile_source(text).functions["f"].blocks.values()
+        return block.instructions
+
+    @staticmethod
+    def stores(text: str) -> list:
+        return [
+            (i.index, i.value)
+            for i in TestUnroller.compiled(text) if isinstance(i, Store)
+        ]
 
     def test_loop_local_names_ignore_the_hash_seed(self):
         # Each unrolled copy renames the body's locals in declaration order;
@@ -117,66 +131,72 @@ class TestUnroller:
             outputs.add(result.stdout)
         assert len(outputs) == 1
 
+    def test_loop_locals_fixture_prints_unchanged(self, capsys):
+        # loop_locals.ir pins the printed IR of loop_locals.mc, including
+        # the per-copy `.uN` numbering of its loop-body locals.
+        assert main(["compile", str(FIXTURES / "loop_locals.mc")]) == 0
+        expected = (FIXTURES / "loop_locals.ir").read_text()
+        assert capsys.readouterr().out == expected
+
     def test_simple_loop_expands(self):
-        body = self.unrolled("""
+        stores = self.stores("""
         uint f(uint *a) {
           for (uint i = 0; i < 3; i = i + 1) { a[i] = i; }
           return 0;
         }
         """)
-        stores = [s for s in body if isinstance(s, ast.StoreStmt)]
-        assert [s.index.value for s in stores] == [0, 1, 2]
-        assert [s.value.value for s in stores] == [0, 1, 2]
+        assert stores == [(Const(n), Const(n)) for n in range(3)]
 
     def test_descending_loop(self):
-        body = self.unrolled("""
+        stores = self.stores("""
         uint f(uint *a) {
           for (uint i = 2; i >= 1; i = i - 1) { a[i] = 0; }
           return 0;
         }
         """)
-        stores = [s for s in body if isinstance(s, ast.StoreStmt)]
-        assert [s.index.value for s in stores] == [2, 1]
+        assert [index for index, _ in stores] == [Const(2), Const(1)]
 
     def test_nested_loops(self):
-        body = self.unrolled("""
+        stores = self.stores("""
         uint f(uint *a) {
           for (uint i = 0; i < 2; i = i + 1) {
-            for (uint j = 0; j < 2; j = j + 1) { a[i * 2 + j] = 0; }
+            for (uint j = i; j < 2; j = j + 1) { a[i * 2 + j] = j; }
           }
           return 0;
         }
         """)
-        stores = [s for s in body if isinstance(s, ast.StoreStmt)]
-        # Indices fold to constants at codegen; here still expressions with
-        # the counters substituted.
-        assert len(stores) == 4
+        # The counters read as literals, so the index arithmetic folds; the
+        # inner loop's start depends on the outer counter.
+        assert stores == [
+            (Const(0), Const(0)), (Const(1), Const(1)), (Const(3), Const(1)),
+        ]
 
     def test_zero_trip_loop(self):
-        body = self.unrolled("""
+        assert self.compiled("""
         uint f() {
           for (uint i = 5; i < 5; i = i + 1) { i = i; }
           return 0;
         }
-        """)
-        assert len(body) == 1  # only the return
+        """) == []
 
     def test_per_iteration_locals_are_renamed(self):
-        body = self.unrolled("""
+        instructions = self.compiled("""
         uint f(uint *a) {
           for (uint i = 0; i < 2; i = i + 1) {
-            uint t = a[i];
-            a[i] = t + 1;
+            uint t[1];
+            uint u[1];
+            t[0] = a[i];
           }
           return 0;
         }
         """)
-        decls = [s.name for s in body if isinstance(s, ast.Decl)]
-        assert len(decls) == 2
-        assert len(set(decls)) == 2  # distinct names per iteration
+        allocs = [i.dest for i in instructions if isinstance(i, Alloc)]
+        # One fresh name per copy (t.u1, u.u2, t.u3, u.u4, in declaration
+        # order), to which the builder appends its temporary counter.
+        assert allocs == ["t.u10", "u.u21", "t.u33", "u.u44"]
 
     def test_static_if_folds(self):
-        body = self.unrolled("""
+        stores = self.stores("""
         uint f(uint *a) {
           for (uint i = 0; i < 3; i = i + 1) {
             if (i < 2) { a[i] = 1; } else { a[i] = 2; }
@@ -184,51 +204,80 @@ class TestUnroller:
           return 0;
         }
         """)
-        stores = [s for s in body if isinstance(s, ast.StoreStmt)]
-        assert [s.value.value for s in stores] == [1, 1, 2]
-        assert not any(isinstance(s, ast.If) for s in body)
+        assert [value for _, value in stores] == [Const(1), Const(1), Const(2)]
+
+    def test_loop_after_return_is_not_unrolled(self):
+        # Dead code is never compiled, so its loop is neither unrolled nor
+        # checked: a dynamic bound there is no error.
+        assert self.compiled("""
+        uint f(uint n) {
+          return n;
+          for (uint i = 0; i < n; i = i + 1) { n = n + 1; }
+        }
+        """) == []
+
+    def test_copies_after_a_return_are_dead(self):
+        stores = self.stores("""
+        uint f(uint *a) {
+          for (uint i = 0; i < 3; i = i + 1) { a[i] = i; return i; }
+          return 7;
+        }
+        """)
+        assert stores == [(Const(0), Const(0))]
+
+    def test_statement_budget_names_the_limit(self, monkeypatch):
+        monkeypatch.setattr("repro.frontend.codegen.MAX_STATEMENTS", 8)
+        source = """
+        uint f(uint a) {
+          for (uint i = 0; i < 4; i = i + 1) { a = a + 1; }
+          return a;
+        }
+        """
+        compile_source(source)  # five statements fit
+        with pytest.raises(UnrollError, match="exceeded 8 statements"):
+            compile_source(source.replace("i < 4", "i < 9"))
 
     def test_dynamic_bound_rejected(self):
         with pytest.raises(UnrollError, match="constant"):
-            unroll_program(parse_source("""
+            compile_source("""
             uint f(uint n) {
               for (uint i = 0; i < n; i = i + 1) { i = i; }
               return 0;
             }
-            """))
+            """)
 
     def test_zero_step_rejected(self):
         with pytest.raises(UnrollError, match="zero step"):
-            unroll_program(parse_source("""
+            compile_source("""
             uint f() {
               for (uint i = 0; i < 3; i = i + 0) { }
               return 0;
             }
-            """))
+            """)
 
     def test_counter_assignment_in_body_rejected(self):
         with pytest.raises(UnrollError, match="counter"):
-            unroll_program(parse_source("""
+            compile_source("""
             uint f() {
               for (uint i = 0; i < 3; i = i + 1) { i = 7; }
               return 0;
             }
-            """))
+            """)
 
     def test_trip_count_limit(self):
         with pytest.raises(UnrollError, match="iterations"):
-            unroll_program(parse_source("""
+            compile_source("""
             uint f() {
               for (uint i = 0; i < 100000; i = i + 1) { }
               return 0;
             }
-            """))
+            """)
 
     def test_shadowing_counter_rejected(self):
         with pytest.raises(UnrollError, match="shadows"):
-            unroll_program(parse_source("""
+            compile_source("""
             uint f() {
               for (uint i = 0; i < 2; i = i + 1) { uint i = 3; }
               return 0;
             }
-            """))
+            """)

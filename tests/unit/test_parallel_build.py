@@ -12,13 +12,6 @@ from repro.bench.suite import get_benchmark
 _NAMES = ["otdt", "ofdf", "tea"]
 
 
-def _deterministic_stats(stats):
-    """Stats minus wall-clock noise (``seconds`` is a timing, not content)."""
-    if stats is None:
-        return None
-    return {key: value for key, value in stats.items() if key != "seconds"}
-
-
 def _requests(names=_NAMES):
     return [build_request(get_benchmark(name)) for name in names]
 
@@ -53,9 +46,7 @@ class TestBuildMany:
         parallel = build_many(_requests(), jobs=2, store=None)
         for a, b in zip(serial, parallel):
             assert a.ir == b.ir
-            assert _deterministic_stats(a.repair_stats) == _deterministic_stats(
-                b.repair_stats
-            )
+            assert a.repair_stats == b.repair_stats
             assert a.sce_correct == b.sce_correct
 
     def test_workers_populate_the_shared_store(self, tmp_path):
@@ -81,12 +72,8 @@ class TestCrossProcessDeterminism:
         first, second = results
         assert first.ir == second.ir
         assert first.module_names == second.module_names
-        assert _deterministic_stats(first.repair_stats) == _deterministic_stats(
-            second.repair_stats
-        )
-        assert _deterministic_stats(first.sce_stats) == _deterministic_stats(
-            second.sce_stats
-        )
+        assert first.repair_stats == second.repair_stats
+        assert first.sce_stats == second.sce_stats
         assert first.sce_correct == second.sce_correct
         assert first.key == second.key
 
