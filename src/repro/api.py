@@ -187,7 +187,6 @@ def fuzz(
     store: bool = False,
     corpus_dir=None,
     mutate: bool = False,
-    cov: bool = False,
     checkpoint=None,
     resume: bool = False,
     shards: int = 1,
@@ -196,42 +195,30 @@ def fuzz(
 
     Generates seeded MiniC and IR samples, cross-checks every oracle pair
     (repair semantics, backend agreement, isochronicity, static vs dynamic
-    verdicts, optimizer sanitization), minimizes any disagreement, and —
-    with ``store=True`` — writes reduced reproducers into the corpus.
+    verdicts, optimizer sanitization), harvests each sample's coverage,
+    minimizes any disagreement, and — with ``store=True`` — writes reduced
+    reproducers into the corpus.
 
-    ``mutate=True`` switches to the coverage-guided campaign (mutations of
-    coverage-novel corpus parents); ``cov=True`` tracks coverage without
-    mutating.  ``checkpoint``/``resume``/``shards`` journal the campaign
-    to disk and resume it byte-deterministically after a kill (see
-    :mod:`repro.fuzz.campaign`).
+    ``mutate=True`` mutates coverage-novel corpus parents instead of
+    sampling blind.  ``checkpoint``/``resume``/``shards`` journal the
+    campaign to disk and resume it byte-deterministically after a kill
+    (see :mod:`repro.fuzz.campaign`).
 
-    Returns a :class:`repro.fuzz.engine.FuzzReport` (blind mode) or a
-    :class:`repro.fuzz.campaign.CampaignReport` (guided/checkpointed).
+    Returns a :class:`repro.fuzz.campaign.CampaignReport`.
     """
-    if mutate or cov or checkpoint or resume or shards > 1:
-        from repro.fuzz.campaign import CampaignOptions, run_campaign
+    from repro.fuzz.campaign import CampaignOptions, run_campaign
 
-        return run_campaign(
-            CampaignOptions(
-                seed=seed,
-                iterations=iterations,
-                mutate=mutate,
-                minimize=minimize,
-                jobs=jobs,
-                shards=shards,
-                checkpoint_dir=checkpoint,
-            ),
-            resume=resume,
-            store=store,
-            corpus_dir=corpus_dir,
-        )
-    from repro.fuzz.engine import run_fuzz
-
-    return run_fuzz(
-        seed=seed,
-        iterations=iterations,
-        jobs=jobs,
-        minimize=minimize,
+    return run_campaign(
+        CampaignOptions(
+            seed=seed,
+            iterations=iterations,
+            mutate=mutate,
+            minimize=minimize,
+            jobs=jobs,
+            shards=shards,
+            checkpoint_dir=checkpoint,
+        ),
+        resume=resume,
         store=store,
         corpus_dir=corpus_dir,
     )

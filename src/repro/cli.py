@@ -63,6 +63,25 @@ def _parse_arg(text: str):
     return int(text, 0)
 
 
+def _at_least(low: int):
+    """An argparse ``type`` for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     module = _load(args.file)
     if args.optimize:
@@ -434,45 +453,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from repro.fuzz.campaign import CampaignOptions, run_campaign
     from repro.fuzz.generators import FuzzConfig
 
-    config = FuzzConfig(ir_fraction=args.ir_fraction)
     if args.resume and not args.checkpoint:
         print("lif fuzz: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
-    guided = (
-        args.mutate or args.cov or args.checkpoint or args.shards > 1
-    )
-    if guided:
-        from repro.fuzz.campaign import CampaignOptions, run_campaign
-
-        report = run_campaign(
-            CampaignOptions(
-                seed=args.seed,
-                iterations=args.iterations,
-                mutate=args.mutate,
-                minimize=not args.no_minimize,
-                fuzz=config,
-                shards=args.shards,
-                jobs=args.jobs,
-                checkpoint_dir=args.checkpoint,
-            ),
-            resume=args.resume,
-            store=args.store,
-            corpus_dir=args.corpus_dir,
-        )
-    else:
-        from repro.fuzz.engine import run_fuzz
-
-        report = run_fuzz(
+    report = run_campaign(
+        CampaignOptions(
             seed=args.seed,
             iterations=args.iterations,
-            jobs=args.jobs,
+            mutate=args.mutate,
             minimize=not args.no_minimize,
-            config=config,
-            corpus_dir=args.corpus_dir,
-            store=args.store,
-        )
+            fuzz=FuzzConfig(ir_fraction=args.ir_fraction),
+            shards=args.shards,
+            jobs=args.jobs,
+            checkpoint_dir=args.checkpoint,
+        ),
+        resume=args.resume,
+        store=args.store,
+        corpus_dir=args.corpus_dir,
+    )
     for line in report.summary_lines():
         print(line)
     return 0 if report.ok else 1
@@ -734,9 +735,9 @@ def main(argv: "list[str] | None" = None) -> int:
     p_fuzz.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0); a (seed, iterations)"
                              " pair is byte-for-byte reproducible")
-    p_fuzz.add_argument("-n", "--iterations", type=int, default=200,
+    p_fuzz.add_argument("-n", "--iterations", type=_at_least(1), default=200,
                         help="samples to generate (default 200)")
-    p_fuzz.add_argument("-j", "--jobs", type=int, default=None,
+    p_fuzz.add_argument("-j", "--jobs", type=_at_least(1), default=None,
                         help="worker processes (default: $REPRO_JOBS or "
                              "cpu count); results are merged in seed order, "
                              "so the output does not depend on this")
@@ -748,13 +749,9 @@ def main(argv: "list[str] | None" = None) -> int:
                              "directory")
     p_fuzz.add_argument("--corpus-dir", default=None,
                         help="reproducer directory (default: tests/corpus)")
-    p_fuzz.add_argument("--ir-fraction", type=int, default=4,
+    p_fuzz.add_argument("--ir-fraction", type=_at_least(0), default=4,
                         help="every Nth sample is an IR-level module "
                              "(0 = MiniC only; default 4)")
-    p_fuzz.add_argument("--cov", action="store_true",
-                        help="track pipeline coverage (branch edges + "
-                             "rule/pass firings) per sample; implied by "
-                             "--mutate")
     p_fuzz.add_argument("--mutate", action="store_true",
                         help="coverage-guided mode: mutate coverage-novel "
                              "corpus parents (splice/tweak/grow) instead of "
@@ -768,7 +765,7 @@ def main(argv: "list[str] | None" = None) -> int:
                              "slices are replayed, missing ones re-run; "
                              "the merged result is byte-identical to an "
                              "uninterrupted run")
-    p_fuzz.add_argument("--shards", type=int, default=1,
+    p_fuzz.add_argument("--shards", type=_at_least(1), default=1,
                         help="checkpoint slices per round (default 1); "
                              "like --jobs, has no effect on the output "
                              "bytes")

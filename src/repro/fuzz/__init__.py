@@ -20,19 +20,19 @@ which is replayed as ordinary pytest cases.
   cross-checks over one sample;
 * :mod:`repro.fuzz.minimize` — the deterministic delta-debugging shrinker;
 * :mod:`repro.fuzz.corpus` — the reproducer store and replay loader;
-* :mod:`repro.fuzz.engine` — the blind campaign driver behind ``lif fuzz``
-  (``--seed/--iterations/--jobs/--minimize``), with process fan-out and
-  per-oracle counters;
+* :mod:`repro.fuzz.engine` — one sample: generate (or take a materialized
+  genotype), run every oracle, harvest its coverage keys, and minimize a
+  disagreement;
 * :mod:`repro.fuzz.coverage` — deterministic coverage keys (branch/call
   edges plus whitelisted obs counter deltas) and the campaign-wide
   :class:`CoverageMap`;
 * :mod:`repro.fuzz.mutate` — the pure ``(parent, seed)`` mutation engine:
   MiniC splice/tweak/grow and IR perturbations, with a memory-safety
   sanitizer and fresh-sample fallback;
-* :mod:`repro.fuzz.campaign` — the coverage-guided campaign behind
-  ``lif fuzz --mutate`` (``--cov/--checkpoint/--resume/--shards``):
-  round-synchronized corpus evolution, sharded checkpoints, and
-  byte-deterministic resume.
+* :mod:`repro.fuzz.campaign` — the one campaign driver behind ``lif fuzz``
+  (``--seed/--iterations/--jobs/--mutate/--checkpoint/--resume/--shards``):
+  blind or coverage-guided round-synchronized sampling, process fan-out,
+  per-oracle counters, sharded checkpoints, and byte-deterministic resume.
 
 See ``docs/FUZZING.md`` for the oracle matrix, the coverage-guided
 campaign design, and the corpus policy.

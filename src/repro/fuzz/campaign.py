@@ -1,10 +1,13 @@
-"""Coverage-guided, checkpointable fuzz campaigns (``lif fuzz --cov``).
+"""The checkpointable fuzz campaign driver behind every ``lif fuzz``.
 
-The blind driver in :mod:`repro.fuzz.engine` maps ``(seed, iterations)``
-to a fixed sample sequence.  This module keeps that reproducibility while
-closing the coverage feedback loop, with one structural idea: a campaign
-proceeds in fixed-size **rounds** (``REPRO_FUZZ_ROUND`` samples each), and
-the round boundary is the only place campaign state may change.
+A campaign maps ``(seed, iterations)`` to a sample sequence and harvests
+every sample's coverage.  Without ``--mutate`` the sequence is fixed
+(sample ``index`` is the fresh ``seed * _SEED_STRIDE + index`` of kind
+:func:`~repro.fuzz.engine.sample_kind`); with it, the coverage feedback
+loop picks corpus parents to mutate.  One structural idea keeps both
+reproducible: a campaign proceeds in fixed-size **rounds**
+(``REPRO_FUZZ_ROUND`` samples each), and the round boundary is the only
+place campaign state may change.
 
 * Task derivation for a round — fresh sample or mutation of which corpus
   parent — is decided up front from each sample's own seeded rng and the
@@ -51,7 +54,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.engine import (
@@ -71,8 +74,7 @@ ROUND_ENV_VAR = "REPRO_FUZZ_ROUND"
 DEFAULT_ROUND_SIZE = 64
 
 #: Maximum corpus entries kept eligible as mutation parents.
-CORPUS_MAX_ENV_VAR = "REPRO_FUZZ_CORPUS_MAX"
-DEFAULT_CORPUS_MAX = 1024
+CORPUS_MAX = 1024
 
 #: Probability that a sample mutates a corpus parent (vs fresh), once the
 #: corpus has parents of its kind.  Balanced on purpose: mutants reach
@@ -91,10 +93,6 @@ _CHECKPOINT_VERSION = 1
 
 def round_size_from_env() -> int:
     return env_int(ROUND_ENV_VAR, DEFAULT_ROUND_SIZE, 1)
-
-
-def corpus_max_from_env() -> int:
-    return env_int(CORPUS_MAX_ENV_VAR, DEFAULT_CORPUS_MAX, 1)
 
 
 class CampaignAborted(RuntimeError):
@@ -116,7 +114,6 @@ class CampaignOptions:
     minimize: bool = True
     fuzz: FuzzConfig = field(default_factory=FuzzConfig)
     round_size: Optional[int] = None
-    corpus_max: Optional[int] = None
     shards: int = 1
     jobs: Optional[int] = None
     checkpoint_dir: Optional[str] = None
@@ -124,9 +121,6 @@ class CampaignOptions:
 
     def resolved_round(self) -> int:
         return self.round_size or round_size_from_env()
-
-    def resolved_corpus_max(self) -> int:
-        return self.corpus_max or corpus_max_from_env()
 
     def identity(self) -> dict:
         """The checkpoint-compatibility record (plus ``shards``, which
@@ -139,7 +133,7 @@ class CampaignOptions:
             "minimize": self.minimize,
             "fuzz": self.fuzz.as_dict(),
             "round_size": self.resolved_round(),
-            "corpus_max": self.resolved_corpus_max(),
+            "corpus_max": CORPUS_MAX,
             "shards": max(1, self.shards),
             "max_minimize_checks": self.max_minimize_checks,
         }
@@ -147,7 +141,7 @@ class CampaignOptions:
 
 @dataclass
 class CampaignReport:
-    """Deterministic summary of one coverage-guided campaign."""
+    """Deterministic summary of one campaign, blind or coverage-guided."""
 
     seed: int
     iterations: int
@@ -292,13 +286,13 @@ def source_id(source: str) -> str:
 
 
 def _run_task(task: dict, recipes: dict, config: FuzzConfig, minimize: bool,
-              max_checks: int, memo: dict) -> dict:
+              max_checks: int, memo: dict, repair_fn=None) -> dict:
     genotype = _materialize(task["recipe"], recipes, config, memo)
     kwargs = {"module": genotype} if task["kind"] == "ir" else {"spec": genotype}
     result = run_one(
         task["seed"], task["kind"], config,
         minimize=minimize, max_minimize_checks=max_checks,
-        coverage=True, **kwargs,
+        repair_fn=repair_fn, **kwargs,
     )
     result["index"] = task["index"]
     # The genotype's own rendering — the corpus/dedup identity.  On a
@@ -321,12 +315,12 @@ def _campaign_worker(tasks: list, recipes: dict, config_record: dict,
 
 
 def _run_slice(tasks: list, recipes: dict, options: CampaignOptions,
-               jobs: int) -> list:
+               jobs: int, repair_fn=None) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         memo: dict = {}
         return [
             _run_task(task, recipes, options.fuzz, options.minimize,
-                      options.max_minimize_checks, memo)
+                      options.max_minimize_checks, memo, repair_fn)
             for task in tasks
         ]
     gc.collect()  # fork-lean, as in artifacts.parallel
@@ -437,11 +431,10 @@ class _CampaignState:
             })
             self.recipes[sid] = task["recipe"]
             self._order += 1
-            cap = self.options.resolved_corpus_max()
-            if len(self.corpus) > cap:
+            if len(self.corpus) > CORPUS_MAX:
                 keep = sorted(
                     self.corpus, key=lambda e: (-e["new_keys"], e["order"])
-                )[:cap]
+                )[:CORPUS_MAX]
                 self.corpus = sorted(keep, key=lambda e: e["order"])
 
         for name in result["checked"]:
@@ -544,14 +537,19 @@ def run_campaign(
     store: bool = False,
     corpus_dir=None,
     abort_after_slices: Optional[int] = None,
+    repair_fn: Optional[Callable] = None,
     **overrides,
 ) -> CampaignReport:
-    """Run (or resume) one coverage-guided campaign.
+    """Run (or resume) one campaign.
 
-    ``abort_after_slices`` is the deterministic kill switch the
-    checkpoint/resume tests use: the run raises :class:`CampaignAborted`
-    after writing that many slice checkpoints, exactly as if the process
-    had died at a slice boundary.
+    ``store=True`` writes each (minimized) failure into ``corpus_dir``
+    (default ``tests/corpus/``).  ``abort_after_slices`` is the
+    deterministic kill switch the checkpoint/resume tests use: the run
+    raises :class:`CampaignAborted` after writing that many slice
+    checkpoints, exactly as if the process had died at a slice boundary.
+    ``repair_fn`` injects an alternative repair pipeline; it is test-only,
+    stays out of the checkpoint identity, and forces serial execution
+    because closures do not cross process boundaries.
     """
     from repro.artifacts.parallel import resolve_jobs
 
@@ -559,7 +557,7 @@ def run_campaign(
         options = CampaignOptions(**overrides)
     elif overrides:
         options = dataclasses.replace(options, **overrides)
-    jobs = resolve_jobs(options.jobs)
+    jobs = 1 if repair_fn is not None else resolve_jobs(options.jobs)
     shards = max(1, options.shards)
     round_size = options.resolved_round()
 
@@ -586,7 +584,9 @@ def run_campaign(
                 if checkpoint else None
             )
             if results is None:
-                results = _run_slice(slice_tasks, state.recipes, options, jobs)
+                results = _run_slice(
+                    slice_tasks, state.recipes, options, jobs, repair_fn
+                )
                 if checkpoint:
                     checkpoint.save_slice(round_index, shard, results)
                     slices_written += 1

@@ -1,26 +1,20 @@
-"""The fuzz campaign driver behind ``lif fuzz``.
+"""One fuzz sample: generate, cross-check every oracle, minimize.
 
-One campaign is fully determined by ``(seed, iterations, config)``: sample
-seeds are derived arithmetically, inputs are derived from sample seeds,
-the minimizer is deterministic, and results are merged in sample order
-regardless of which worker process finished first — so two runs of
-``lif fuzz --seed 0 --iterations 200`` produce byte-identical summaries
-and corpora, whatever ``--jobs`` says.  That reproducibility is what makes
-the CI smoke job a meaningful gate instead of a dice roll.
-
-Fan-out reuses the recipe of :mod:`repro.artifacts.parallel`: forked
-workers reset the obs collector, do their slice of the seed space, and
-ship a metrics snapshot back with their results for the parent to merge.
+A sample is fully determined by ``(case_seed, kind, config)``: inputs are
+derived from the sample seed and the minimizer is deterministic, so
+:func:`run_one` is a pure function of its arguments up to wall-clock.
+The campaign driver in :mod:`repro.fuzz.campaign` derives the sample
+seeds (``seed * _SEED_STRIDE + index``) and kinds (:func:`sample_kind`),
+fans the samples out and merges their results in index order.
 """
 
 from __future__ import annotations
 
-import gc
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.fuzz.corpus import CorpusCase, make_case_id, store_case
+from repro.fuzz.corpus import CorpusCase, make_case_id
+from repro.fuzz.coverage import sample_keys
 from repro.fuzz.generators import (
     FuzzConfig,
     generate_inputs,
@@ -30,7 +24,7 @@ from repro.fuzz.generators import (
     secret_family,
 )
 from repro.fuzz.minimize import minimize_spec
-from repro.fuzz.oracles import ORACLES, SampleInvalid, compile_sample, run_oracles
+from repro.fuzz.oracles import SampleInvalid, compile_sample, run_oracles
 from repro.fuzz.spec import render_program
 from repro.obs import OBS
 
@@ -68,46 +62,6 @@ class FuzzFailure:
         )
 
 
-@dataclass
-class FuzzReport:
-    """Deterministic summary of one campaign."""
-
-    seed: int
-    iterations: int
-    minic_samples: int = 0
-    ir_samples: int = 0
-    invalid_samples: int = 0
-    counters: dict = field(default_factory=dict)  # oracle -> {checked, failed}
-    failures: list = field(default_factory=list)  # [FuzzFailure]
-    corpus_paths: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary_lines(self) -> list:
-        lines = [
-            f"fuzz seed={self.seed} iterations={self.iterations} "
-            f"(minic={self.minic_samples}, ir={self.ir_samples}, "
-            f"invalid={self.invalid_samples})"
-        ]
-        for name in ORACLES:
-            entry = self.counters.get(name, {"checked": 0, "failed": 0})
-            lines.append(
-                f"oracle {name:14s} checked={entry['checked']} "
-                f"failed={entry['failed']}"
-            )
-        lines.append(f"failures: {len(self.failures)}")
-        for failure in self.failures:
-            lines.append(
-                f"  {failure.case_id} kind={failure.kind} "
-                f"seed={failure.seed} oracles={','.join(failure.failed)}"
-            )
-        for path in self.corpus_paths:
-            lines.append(f"  wrote {path}")
-        return lines
-
-
 # -- one sample --------------------------------------------------------------
 
 
@@ -126,17 +80,14 @@ def run_one(
     repair_fn: Optional[Callable] = None,
     spec=None,
     module=None,
-    coverage: bool = False,
 ) -> dict:
     """Generate and cross-check one sample; minimize on disagreement.
 
     ``spec`` (MiniC) / ``module`` (IR) inject a pre-materialized sample —
-    the coverage-guided campaign passes mutated genotypes this way while
-    the blind driver keeps deriving everything from ``case_seed``.  With
-    ``coverage=True`` the oracle battery runs inside an
-    ``OBS.capture(force=True)`` window and the result carries the sample's
-    sorted coverage keys under ``"coverage"`` (see
-    :mod:`repro.fuzz.coverage`).
+    the campaign passes every materialized genotype, fresh or mutated,
+    this way.  The oracle battery runs inside an ``OBS.capture(force=True)``
+    window and the result carries the sample's sorted coverage keys under
+    ``"coverage"`` (see :mod:`repro.fuzz.coverage`).
     """
     if kind == "ir":
         if module is None:
@@ -144,12 +95,8 @@ def run_one(
         inputs = ir_module_inputs(case_seed)
         source = _ir_text(module)
         entry = "f"
-        report, keys = _checked(
-            module, entry, inputs, None, repair_fn, coverage
-        )
-        result = _result(case_seed, kind, entry, report)
-        if keys is not None:
-            result["coverage"] = keys
+        report, keys = _checked(module, entry, inputs, None, repair_fn)
+        result = _result(case_seed, kind, entry, report, keys)
         result["source"] = source
         if not report.ok:
             result.update(inputs=inputs,
@@ -171,11 +118,9 @@ def run_one(
         }
     inputs = generate_inputs(spec, case_seed)
     report, keys = _checked(
-        module, spec.entry, inputs, secret_family(inputs), repair_fn, coverage
+        module, spec.entry, inputs, secret_family(inputs), repair_fn
     )
-    result = _result(case_seed, kind, spec.entry, report)
-    if keys is not None:
-        result["coverage"] = keys
+    result = _result(case_seed, kind, spec.entry, report, keys)
     result["source"] = source
     if report.ok:
         return result
@@ -194,9 +139,8 @@ def run_one(
             module, spec.entry, inputs,
             secret_inputs=secret_family(inputs), repair_fn=repair_fn,
         )
-        result = _result(case_seed, kind, spec.entry, report)
-        if keys is not None:  # coverage reflects the sample as generated
-            result["coverage"] = keys
+        # Coverage reflects the sample as generated, not the shrunk one.
+        result = _result(case_seed, kind, spec.entry, report, keys)
         if report.ok:  # cannot happen for a sound predicate; keep the raw case
             result["failed"] = [target]
     result.update(
@@ -210,15 +154,8 @@ def run_one(
     return result
 
 
-def _checked(module, entry, inputs, secret_inputs, repair_fn, coverage):
-    """Run the oracle battery, optionally harvesting coverage keys."""
-    if not coverage:
-        return run_oracles(
-            module, entry, inputs,
-            secret_inputs=secret_inputs, repair_fn=repair_fn,
-        ), None
-    from repro.fuzz.coverage import sample_keys
-
+def _checked(module, entry, inputs, secret_inputs, repair_fn):
+    """Run the oracle battery and harvest the sample's coverage keys."""
     with OBS.capture(force=True) as window:
         report = run_oracles(
             module, entry, inputs,
@@ -227,7 +164,7 @@ def _checked(module, entry, inputs, secret_inputs, repair_fn, coverage):
     return report, sorted(sample_keys(module, entry, inputs, window.counters))
 
 
-def _result(seed: int, kind: str, entry: str, report) -> dict:
+def _result(seed: int, kind: str, entry: str, report, keys: list) -> dict:
     return {
         "seed": seed,
         "kind": kind,
@@ -235,6 +172,7 @@ def _result(seed: int, kind: str, entry: str, report) -> dict:
         "checked": [r.name for r in report.results],
         "failed": list(report.failed),
         "report_dict": report.as_dict(),
+        "coverage": keys,
     }
 
 
@@ -263,115 +201,3 @@ def _failure_predicate(target: str, case_seed: int, repair_fn):
         return target in report.failed
 
     return predicate
-
-
-# -- the campaign ------------------------------------------------------------
-
-
-def _worker(batch: list, config_record: dict, minimize: bool,
-            max_checks: int) -> tuple:
-    OBS.reset()
-    config = FuzzConfig.from_dict(config_record)
-    results = [
-        run_one(case_seed, kind, config, minimize=minimize,
-                max_minimize_checks=max_checks)
-        for case_seed, kind in batch
-    ]
-    return results, OBS.snapshot()
-
-
-def run_fuzz(
-    seed: int = 0,
-    iterations: int = 200,
-    jobs: Optional[int] = None,
-    minimize: bool = True,
-    config: Optional[FuzzConfig] = None,
-    corpus_dir=None,
-    store: bool = False,
-    repair_fn: Optional[Callable] = None,
-    max_minimize_checks: int = 1500,
-) -> FuzzReport:
-    """Run a campaign; deterministic in everything but wall-clock.
-
-    ``store=True`` writes each (minimized) failure into ``corpus_dir``
-    (default ``tests/corpus/``).  ``repair_fn`` injects an alternative
-    repair pipeline — test-only, forces serial execution because closures
-    do not cross process boundaries.
-    """
-    from repro.artifacts.parallel import resolve_jobs
-
-    config = config or FuzzConfig()
-    tasks = [
-        (seed * _SEED_STRIDE + index, sample_kind(index, config))
-        for index in range(iterations)
-    ]
-    jobs = 1 if repair_fn is not None else resolve_jobs(jobs)
-
-    results: list = []
-    if jobs <= 1 or iterations <= 1:
-        for case_seed, kind in tasks:
-            results.append(run_one(
-                case_seed, kind, config, minimize=minimize,
-                max_minimize_checks=max_minimize_checks,
-                repair_fn=repair_fn,
-            ))
-    else:
-        gc.collect()  # fork-lean, as in artifacts.parallel
-        jobs = min(jobs, iterations)
-        batches: list = [tasks[i::jobs] for i in range(jobs)]
-        ordered: dict = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_worker, batch, config.as_dict(), minimize,
-                            max_minimize_checks)
-                for batch in batches if batch
-            ]
-            for future in futures:
-                worker_results, snapshot = future.result()
-                OBS.merge(snapshot)
-                for entry in worker_results:
-                    ordered[entry["seed"]] = entry
-        results = [ordered[case_seed] for case_seed, _ in tasks]
-
-    report = FuzzReport(seed=seed, iterations=iterations)
-    for name in ORACLES:
-        report.counters[name] = {"checked": 0, "failed": 0}
-    for entry in results:
-        if entry["kind"] == "ir":
-            report.ir_samples += 1
-        else:
-            report.minic_samples += 1
-        if "invalid" in entry:
-            report.invalid_samples += 1
-            continue
-        for name in entry["checked"]:
-            report.counters[name]["checked"] += 1
-        for name in entry["failed"]:
-            report.counters[name]["failed"] += 1
-        if entry["failed"]:
-            report.failures.append(FuzzFailure(
-                seed=entry["seed"],
-                kind=entry["kind"],
-                case_id=entry["case_id"],
-                entry=entry["entry"],
-                source=entry["source"],
-                inputs=entry["inputs"],
-                secret_inputs=entry.get("secret_inputs"),
-                failed=tuple(entry["failed"]),
-                report=entry.get("report_dict"),
-                minimize_checks=entry.get("minimize_checks", 0),
-            ))
-
-    if OBS.enabled:
-        OBS.counter("fuzz.samples", iterations)
-        OBS.counter("fuzz.failures", len(report.failures))
-
-    if store and report.failures:
-        from repro.fuzz.corpus import DEFAULT_CORPUS_DIR
-
-        directory = corpus_dir or DEFAULT_CORPUS_DIR
-        for failure in report.failures:
-            report.corpus_paths.extend(
-                str(p) for p in store_case(failure.as_corpus_case(), directory)
-            )
-    return report

@@ -1,12 +1,14 @@
 """The ``lif fuzz`` subcommand."""
 
+import pytest
+
 from repro.cli import main
 
 
 def test_fuzz_smoke_run_prints_summary(capsys):
     assert main(["fuzz", "--seed", "5", "-n", "3", "--no-minimize"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("fuzz seed=5 iterations=3")
+    assert out.startswith("fuzz campaign seed=5 iterations=3")
     assert "oracle repair" in out
     assert "oracle opt_sanitize" in out
     assert "failures: 0" in out
@@ -26,7 +28,7 @@ def test_fuzz_ir_fraction_zero_generates_only_minic(capsys):
         "--ir-fraction", "0",
     ]) == 0
     out = capsys.readouterr().out
-    assert "(minic=2, ir=0, invalid=0)" in out
+    assert "(minic=2, ir=0, invalid=0, mutated=0)" in out
 
 
 def test_fuzz_help_lists_knobs(capsys):
@@ -37,19 +39,41 @@ def test_fuzz_help_lists_knobs(capsys):
     out = capsys.readouterr().out
     for flag in ("--seed", "--iterations", "--jobs", "--no-minimize",
                  "--store", "--corpus-dir", "--ir-fraction",
-                 "--mutate", "--cov", "--checkpoint", "--resume",
+                 "--mutate", "--checkpoint", "--resume",
                  "--shards"):
         assert flag in out
 
 
-def test_fuzz_cov_routes_to_campaign(capsys):
-    assert main([
-        "fuzz", "--seed", "5", "-n", "3", "--no-minimize", "--cov",
-    ]) == 0
+def test_plain_fuzz_is_a_blind_coverage_campaign(capsys):
+    assert main(["fuzz", "--seed", "5", "-n", "3", "--no-minimize"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("fuzz campaign seed=5 iterations=3")
     assert "mode=blind+coverage" in out
     assert "coverage keys=" in out
+
+
+def test_fuzz_cov_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["fuzz", "--seed", "5", "-n", "3", "--cov"])
+    assert stop.value.code == 2
+    assert "--cov" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--iterations", "-3"),
+    ("--jobs", "0"),
+    ("--shards", "-4"),
+    ("--ir-fraction", "-1"),
+])
+def test_fuzz_rejects_out_of_range_flags(flag, value, capsys):
+    args = ["fuzz", "--seed", "0", "--no-minimize", flag, value]
+    if flag != "--iterations":
+        args += ["-n", "1"]
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "must be at least" in err
 
 
 def test_fuzz_mutate_summary_is_reproducible(capsys):

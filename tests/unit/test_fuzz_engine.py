@@ -1,4 +1,8 @@
-"""The fuzz campaign driver: planted-bug detection and determinism.
+"""Blind fuzz campaigns: planted-bug detection and determinism.
+
+A blind campaign is :func:`repro.fuzz.campaign.run_campaign` with
+``mutate=False``: sample ``index`` is the fresh seed
+``seed * _SEED_STRIDE + index`` of kind :func:`sample_kind`.
 
 The headline acceptance test plants a mutation-style bug in a fixture
 copy of the repair's [store] rewriting rule (the ctsel arms swapped, so
@@ -10,13 +14,13 @@ passes under the real one.
 
 from unittest import mock
 
-import pytest
-
+from repro import api
 from repro.core import rules
 from repro.core.repair import repair_module
 from repro.core.rules import CtSel, Load, Store
+from repro.fuzz.campaign import CampaignOptions, run_campaign
 from repro.fuzz.corpus import load_corpus, replay_case
-from repro.fuzz.engine import FuzzReport, run_fuzz, run_one, sample_kind
+from repro.fuzz.engine import run_one, sample_kind
 from repro.fuzz.generators import FuzzConfig
 from repro.fuzz.oracles import ORACLES
 from repro.ir.values import Var
@@ -55,11 +59,18 @@ uint fuzz_entry(secret u8 *p1) {
 """
 
 
+def _blind(seed, iterations):
+    return run_campaign(CampaignOptions(
+        seed=seed, iterations=iterations, mutate=False, minimize=False,
+        jobs=1,
+    ))
+
+
 def test_planted_repair_bug_is_caught_minimized_and_stored(tmp_path):
-    report = run_fuzz(
-        seed=0, iterations=1, repair_fn=_buggy_repair,
-        minimize=True, max_minimize_checks=400,
-        store=True, corpus_dir=tmp_path,
+    report = run_campaign(
+        CampaignOptions(seed=0, iterations=1, mutate=False, minimize=True,
+                        max_minimize_checks=400),
+        repair_fn=_buggy_repair, store=True, corpus_dir=tmp_path,
     )
     assert not report.ok
     [failure] = report.failures
@@ -78,21 +89,23 @@ def test_planted_repair_bug_is_caught_minimized_and_stored(tmp_path):
 
 
 def test_campaigns_are_byte_for_byte_deterministic():
-    first = run_fuzz(seed=3, iterations=6, jobs=1, minimize=False)
-    second = run_fuzz(seed=3, iterations=6, jobs=1, minimize=False)
+    first = _blind(3, 6)
+    second = _blind(3, 6)
     assert first.summary_lines() == second.summary_lines()
-    assert first.counters == second.counters
+    assert first.as_dict() == second.as_dict()
 
 
 def test_parallel_merge_matches_serial_order():
-    serial = run_fuzz(seed=5, iterations=4, jobs=1, minimize=False)
-    parallel = run_fuzz(seed=5, iterations=4, jobs=2, minimize=False)
+    serial = api.fuzz(seed=5, iterations=4, jobs=1, minimize=False)
+    parallel = api.fuzz(seed=5, iterations=4, jobs=2, minimize=False)
     assert parallel.summary_lines() == serial.summary_lines()
+    assert parallel.as_dict() == serial.as_dict()
 
 
 def test_counters_cover_every_oracle():
-    report = run_fuzz(seed=3, iterations=6, jobs=1, minimize=False)
+    report = _blind(3, 6)
     assert report.minic_samples + report.ir_samples == 6
+    assert report.mutated_samples == 0
     assert report.ir_samples >= 1  # default ir_fraction=4 schedules some
     for name in ORACLES:
         counter = report.counters[name]
@@ -122,17 +135,10 @@ def test_run_one_ir_sample_checks_all_oracles():
 def test_obs_counters_accumulate_during_campaign():
     configure(enabled=True)
     try:
-        run_fuzz(seed=11, iterations=2, jobs=1, minimize=False)
-        assert OBS.counters.get("fuzz.samples") == 2
-        assert OBS.counters.get("fuzz.failures") == 0
+        _blind(11, 2)
+        assert OBS.counters.get("fuzz.campaign.samples") == 2
+        assert OBS.counters.get("fuzz.campaign.failures") == 0
         for name in ORACLES:
             assert OBS.counters.get(f"fuzz.oracle.{name}.checked") == 2
     finally:
         configure(enabled=False)
-
-
-def test_summary_lines_shape():
-    report = FuzzReport(seed=9, iterations=0)
-    lines = report.summary_lines()
-    assert lines[0] == "fuzz seed=9 iterations=0 (minic=0, ir=0, invalid=0)"
-    assert lines[-1] == "failures: 0"

@@ -11,8 +11,7 @@ from repro.artifacts.parallel import resolve_jobs
 from repro.artifacts.store import default_store, shard_width_from_env
 from repro.exec.batch import BatchExecutor
 from repro.exec.compiled import exec_cache_limit
-from repro.fuzz.campaign import corpus_max_from_env, round_size_from_env
-from repro.fuzz.mutate import mutate_retries
+from repro.fuzz.campaign import round_size_from_env
 from repro.ir import parse_module
 from repro.serve.cache import default_result_cache
 from repro.serve.jobs import (
@@ -77,10 +76,6 @@ KNOBS = [
      [("2", 2), ("0", 0)], ["-1", "twice"]),
     ("REPRO_FUZZ_ROUND", lambda t: round_size_from_env(),
      [("64", 64), ("16", 16)], ["0", "big"]),
-    ("REPRO_FUZZ_CORPUS_MAX", lambda t: corpus_max_from_env(),
-     [("1024", 1024), ("1", 1)], ["0", "1k"]),
-    ("REPRO_FUZZ_MUTATE_RETRIES", lambda t: mutate_retries(),
-     [("8", 8), ("1", 1)], ["0", "eight"]),
 ]
 
 
